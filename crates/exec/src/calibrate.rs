@@ -1,17 +1,16 @@
 //! Adaptive engine calibration: measure, don't guess.
 //!
-//! The runtime has four ways to answer the same question — the plain FDD
-//! walk, the row-major compiled scalar, the field-major column walk, and
-//! the level-synchronous lane kernel (serial or sharded across cores) —
-//! and no fixed choice wins everywhere: `BENCH_exec.json`'s lane-width
-//! sweep shows the optimum drifting per workload, and the walk outruns
-//! every compiled engine on some shallow-diagram trace shapes. So the
-//! choice is *calibrated*: a short micro-trial per (image, trace shape)
-//! races every candidate over a bounded sample of the real batch and the
-//! winner is recorded as an [`EngineChoice`] — in the image's
-//! [`CompileStats`] for the single-policy surfaces, or keyed by shape
-//! label in an [`EngineTable`] for callers serving several trace shapes
-//! from one image.
+//! The runtime has several ways to answer the same question — the plain
+//! FDD walk, the level-synchronous lane kernel (serial or sharded across
+//! cores), the profile-specialized twin when one is installed, and any of
+//! these behind a decision cache — and no fixed choice wins everywhere:
+//! `BENCH_exec.json`'s lane-width sweep shows the optimum drifting per
+//! workload, and the walk outruns every compiled engine on some
+//! shallow-diagram trace shapes. So the choice is *calibrated*: a short
+//! micro-trial per (image, trace shape) races every candidate over a
+//! bounded sample of the real batch and the winner is recorded as an
+//! [`EngineChoice`] — in the image's [`CompileStats`] for the
+//! single-policy surfaces, or in the [`crate::LiveMatcher`] serving it.
 //!
 //! The trial is deterministic in everything but the clock: candidates run
 //! in a fixed order over a fixed sample prefix, each timed as the minimum
@@ -27,7 +26,6 @@
 //! recalibrate on load ([`CompiledFdd::calibrate`]) or fall back to
 //! [`EngineChoice::default`].
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use fw_core::Fdd;
@@ -56,10 +54,10 @@ pub enum EngineKind {
     /// The plain FDD walk (`fw_core::Fdd::evaluate`): pointer-chasing but
     /// shallow, and unbeatable on diagrams small enough to live in L1.
     Walk,
-    /// The compiled row-major scalar ([`CompiledFdd::classify_batch_into`]).
-    Scalar,
     /// The compiled field-major column walk
-    /// ([`CompiledFdd::classify_columns_into`]).
+    /// ([`CompiledFdd::classify_columns_into`]). Never raced: it is what
+    /// a fleet pool serves through and what a [`EngineKind::Spec`] choice
+    /// degrades to on an image without a twin.
     Columns,
     /// The level-synchronous lane kernel, serial at `threads <= 1`,
     /// sharded across scoped workers above that.
@@ -77,7 +75,6 @@ impl EngineKind {
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Walk => "walk",
-            EngineKind::Scalar => "scalar",
             EngineKind::Columns => "columns",
             EngineKind::Lanes => "lanes",
             EngineKind::Spec => "spec",
@@ -158,46 +155,6 @@ pub struct Calibration {
     pub sample: usize,
 }
 
-/// Calibrated choices keyed by trace-shape label, for callers that serve
-/// several distinguishable traffic shapes (random vs biased replay, per
-/// tenant, per port mix) from one image.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct EngineTable {
-    choices: HashMap<String, EngineChoice>,
-}
-
-impl EngineTable {
-    /// An empty table.
-    pub fn new() -> EngineTable {
-        EngineTable::default()
-    }
-
-    /// Records the choice for a trace shape, replacing any previous one.
-    pub fn set(&mut self, shape: impl Into<String>, choice: EngineChoice) {
-        self.choices.insert(shape.into(), choice);
-    }
-
-    /// The recorded choice for a shape, if that shape has been calibrated.
-    pub fn get(&self, shape: &str) -> Option<EngineChoice> {
-        self.choices.get(shape).copied()
-    }
-
-    /// The recorded choice for a shape, or the uncalibrated default.
-    pub fn get_or_default(&self, shape: &str) -> EngineChoice {
-        self.get(shape).unwrap_or_default()
-    }
-
-    /// Number of calibrated shapes.
-    pub fn len(&self) -> usize {
-        self.choices.len()
-    }
-
-    /// Whether no shape has been calibrated yet.
-    pub fn is_empty(&self) -> bool {
-        self.choices.is_empty()
-    }
-}
-
 /// Reusable scratch for [`EngineChoice::classify_into`] /
 /// [`CompiledFdd::classify_auto_into`]: whichever engine the choice routes
 /// to finds its working state here, so steady-state auto serving allocates
@@ -225,12 +182,11 @@ impl EngineChoice {
     /// buffer (cleared first).
     ///
     /// `walk` and `rows` widen the routing surface: [`EngineKind::Walk`]
-    /// needs the source diagram (over `rows` when given, else gathering
-    /// each packet from the columns through a reused buffer), and
-    /// [`EngineKind::Scalar`] replays `rows` when given. Without the
-    /// needed input a choice degrades to the closest batch-native engine
-    /// (walk/scalar → columns) rather than failing: the decisions are
-    /// identical on every engine, so degradation can only cost speed.
+    /// needs the source diagram, over `rows` when given, else gathering
+    /// each packet from the columns through a reused buffer. Without the
+    /// diagram a walk choice degrades to the column walk rather than
+    /// failing: the decisions are identical on every engine, so
+    /// degradation can only cost speed.
     ///
     /// # Errors
     ///
@@ -269,13 +225,9 @@ impl EngineChoice {
                 }
                 Ok(())
             }
-            (EngineKind::Scalar, _, Some(rows)) => {
-                compiled.classify_batch_into(rows, out);
-                Ok(())
+            (EngineKind::Columns, _, _) | (EngineKind::Walk, None, _) => {
+                compiled.classify_columns_into(batch, out)
             }
-            (EngineKind::Columns, _, _)
-            | (EngineKind::Walk, None, _)
-            | (EngineKind::Scalar, _, None) => compiled.classify_columns_into(batch, out),
             (EngineKind::Spec, _, _) => match compiled.spec() {
                 Some(spec) if self.threads > 1 => spec.classify_par_into(batch, self.threads, out),
                 Some(spec) => spec.classify_columns_into(batch, out),
@@ -314,10 +266,11 @@ fn thread_ladder(max: usize) -> Vec<usize> {
 /// returns the fastest, with all measurements.
 ///
 /// Candidates, in fixed trial order: the plain walk (when `walk` is
-/// given), the compiled row scalar (when `rows` are given), the column
-/// walk, then the lane kernel at every [`CALIBRATE_LANE_WIDTHS`] width ×
-/// every thread count on the ladder up to `max_threads` (`0` = all
-/// available cores). Each candidate's time is the minimum over
+/// given; over `rows` when those are given too), the lane kernel at every
+/// [`CALIBRATE_LANE_WIDTHS`] width × every thread count on the ladder up
+/// to `max_threads` (`0` = all available cores), then the specialized
+/// twin at one thread and at the maximum (when a twin is installed).
+/// Each candidate's time is the minimum over
 /// [`CALIBRATE_PASSES`] passes after one warm-up pass (which also forces
 /// the lazy lane mirror outside the timings); ties break toward the
 /// earlier candidate.
@@ -396,20 +349,6 @@ pub fn calibrate_with_cache(
             cached: false,
         });
     }
-    if sample_rows.is_some() {
-        candidates.push(EngineChoice {
-            kind: EngineKind::Scalar,
-            lane_width: 0,
-            threads: 1,
-            cached: false,
-        });
-    }
-    candidates.push(EngineChoice {
-        kind: EngineKind::Columns,
-        lane_width: 0,
-        threads: 1,
-        cached: false,
-    });
     for width in CALIBRATE_LANE_WIDTHS {
         for &threads in &thread_ladder(resolve_threads(max_threads)) {
             candidates.push(EngineChoice {
@@ -465,7 +404,7 @@ pub fn calibrate_with_cache(
             best = Some((mpps, choice));
         }
     }
-    let (best_mpps, mut best_choice) = best.expect("at least the columns candidate ran");
+    let (best_mpps, mut best_choice) = best.expect("the lane candidates always run");
     if cache_capacity > 0 {
         let candidate = best_choice.with_cache();
         let mut cache = crate::DecisionCache::new(compiled.schema().clone(), cache_capacity)?;
@@ -550,26 +489,6 @@ impl CompiledFdd {
         Ok(cal)
     }
 
-    /// [`CompiledFdd::calibrate`] with the cached candidate in the race
-    /// (see [`calibrate_with_cache`]); a winning cached choice is recorded
-    /// with `cached: true`, which cache-holding serving surfaces honour.
-    ///
-    /// # Errors
-    ///
-    /// As for [`calibrate_with_cache`].
-    pub fn calibrate_with_cache(
-        &mut self,
-        walk: Option<&Fdd>,
-        rows: Option<&[Packet]>,
-        batch: &PacketBatch,
-        max_threads: usize,
-        cache_capacity: usize,
-    ) -> Result<Calibration, ExecError> {
-        let cal = calibrate_with_cache(self, walk, rows, batch, max_threads, cache_capacity)?;
-        self.stats.calibrated = Some(cal.choice);
-        Ok(cal)
-    }
-
     /// Classifies a batch through the calibrated engine choice
     /// ([`CompileStats::calibrated`]), falling back to
     /// [`EngineChoice::default`] on an uncalibrated image.
@@ -634,8 +553,12 @@ mod tests {
         let cal = compiled
             .calibrate(Some(&fdd), Some(&trace), &batch, 2)
             .unwrap();
-        // walk + scalar + columns + 4 widths × ladder(2) = {1, 2}.
-        assert_eq!(cal.trials.len(), 3 + CALIBRATE_LANE_WIDTHS.len() * 2);
+        // walk + 4 widths × ladder(2) = {1, 2}.
+        assert_eq!(cal.trials.len(), 1 + CALIBRATE_LANE_WIDTHS.len() * 2);
+        assert!(cal
+            .trials
+            .iter()
+            .all(|t| t.choice.kind == EngineKind::Walk || t.choice.kind == EngineKind::Lanes));
         assert_eq!(cal.sample, 600);
         assert!(cal.trials.iter().any(|t| t.choice == cal.choice));
         assert_eq!(compiled.stats().calibrated, Some(cal.choice));
@@ -655,12 +578,6 @@ mod tests {
         let choices = [
             EngineChoice {
                 kind: EngineKind::Walk,
-                lane_width: 0,
-                threads: 1,
-                cached: false,
-            },
-            EngineChoice {
-                kind: EngineKind::Scalar,
                 lane_width: 0,
                 threads: 1,
                 cached: false,
@@ -697,7 +614,7 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(out, expect, "{choice} with rows");
-            // Batch-only: walk gathers from columns, scalar degrades.
+            // Batch-only: walk gathers from columns.
             choice
                 .classify_into(&compiled, Some(&fdd), None, &batch, &mut scratch, &mut out)
                 .unwrap();
@@ -711,12 +628,10 @@ mod tests {
 
     #[test]
     fn cached_candidate_joins_the_race_and_serves_identically() {
-        let (fw, mut compiled, batch) = setup(25, 900, 21);
-        let cal = compiled
-            .calibrate_with_cache(None, None, &batch, 1, 1 << 10)
-            .unwrap();
-        // columns + 4 lane widths × ladder(1) + the cached arm.
-        assert_eq!(cal.trials.len(), 1 + CALIBRATE_LANE_WIDTHS.len() + 1);
+        let (fw, compiled, batch) = setup(25, 900, 21);
+        let cal = calibrate_with_cache(&compiled, None, None, &batch, 1, 1 << 10).unwrap();
+        // 4 lane widths × ladder(1) + the cached arm.
+        assert_eq!(cal.trials.len(), CALIBRATE_LANE_WIDTHS.len() + 1);
         let last = cal.trials.last().unwrap();
         assert!(last.choice.cached, "the cached arm races last");
         assert!(last.choice.to_string().starts_with("cache+"));
@@ -804,32 +719,6 @@ mod tests {
         let mut cleared = compiled.clone();
         cleared.stats.calibrated = None;
         assert_eq!(cleared, back);
-    }
-
-    #[test]
-    fn engine_table_keys_choices_by_shape() {
-        let mut table = EngineTable::new();
-        assert!(table.is_empty());
-        assert_eq!(table.get_or_default("random"), EngineChoice::default());
-        let choice = EngineChoice {
-            kind: EngineKind::Walk,
-            lane_width: 0,
-            threads: 1,
-            cached: false,
-        };
-        table.set("random", choice);
-        table.set(
-            "biased",
-            EngineChoice {
-                kind: EngineKind::Lanes,
-                lane_width: 16,
-                threads: 2,
-                cached: false,
-            },
-        );
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.get("random"), Some(choice));
-        assert_eq!(table.get_or_default("unseen"), EngineChoice::default());
     }
 
     #[test]

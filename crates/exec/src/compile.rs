@@ -203,6 +203,41 @@ pub(crate) fn decision_from_u16(code: u16) -> Decision {
     decoded.unwrap_or(Decision::Discard)
 }
 
+/// The matcher's inner loop, shared by every walk over the
+/// [`NodeDesc`] + cut/jump arena format — the standalone image's row and
+/// column paths and the fleet pool's. Starts at `root` and reads field
+/// `f` of the packet being classified as `value(f)`, so callers choose
+/// where values come from (a row slice, a column of a batch) and the
+/// closure inlines away.
+#[inline]
+pub(crate) fn walk(
+    nodes: &[NodeDesc],
+    cuts: &[u64],
+    cut_targets: &[u32],
+    jump: &[u32],
+    root: u32,
+    value: impl Fn(usize) -> u64,
+) -> Decision {
+    let mut idx = root as usize;
+    loop {
+        let n = nodes[idx];
+        match n.kind {
+            KIND_TERMINAL => return decision_from_u16(n.field),
+            KIND_JUMP => {
+                let v = value(n.field as usize);
+                idx = jump[n.off as usize + v as usize] as usize;
+            }
+            _ => {
+                let v = value(n.field as usize);
+                let off = n.off as usize;
+                let len = n.len as usize;
+                let i = lower_bound(&cuts[off..off + len], v);
+                idx = cut_targets[off + i] as usize;
+            }
+        }
+    }
+}
+
 /// Flattens an internal FDD node's edges into sorted `(lo, hi, target)`
 /// spans — targets resolved through `resolve` — and verifies they partition
 /// the field's domain, span by span. Shared by full compilation and the
@@ -472,27 +507,18 @@ impl CompiledFdd {
         })
     }
 
-    /// The matcher's inner loop over a value slice in schema order.
+    /// The matcher's inner loop from the root, reading field `f` of the
+    /// packet as `value(f)` (see [`walk`]).
     #[inline]
-    pub(crate) fn decide(&self, values: &[u64]) -> Decision {
-        let mut idx = self.root as usize;
-        loop {
-            let n = self.nodes[idx];
-            match n.kind {
-                KIND_TERMINAL => return decision_from_u16(n.field),
-                KIND_JUMP => {
-                    let v = values[n.field as usize];
-                    idx = self.jump[n.off as usize + v as usize] as usize;
-                }
-                _ => {
-                    let v = values[n.field as usize];
-                    let off = n.off as usize;
-                    let len = n.len as usize;
-                    let i = lower_bound(&self.cuts[off..off + len], v);
-                    idx = self.cut_targets[off + i] as usize;
-                }
-            }
-        }
+    pub(crate) fn decide(&self, value: impl Fn(usize) -> u64) -> Decision {
+        walk(
+            &self.nodes,
+            &self.cuts,
+            &self.cut_targets,
+            &self.jump,
+            self.root,
+            value,
+        )
     }
 
     /// Classifies one packet.
@@ -503,7 +529,8 @@ impl CompiledFdd {
     /// outside its field's domain; use [`CompiledFdd::try_classify`] for
     /// untrusted input.
     pub fn classify(&self, packet: &Packet) -> Decision {
-        self.decide(packet.values())
+        let values = packet.values();
+        self.decide(|f| values[f])
     }
 
     /// Classifies one packet after validating it against the schema.
@@ -514,7 +541,8 @@ impl CompiledFdd {
     /// values.
     pub fn try_classify(&self, packet: &Packet) -> Result<Decision, ExecError> {
         packet.validate(&self.schema)?;
-        Ok(self.decide(packet.values()))
+        let values = packet.values();
+        Ok(self.decide(|f| values[f]))
     }
 
     /// Classifies a batch of packets, returning decisions in order.
@@ -538,7 +566,10 @@ impl CompiledFdd {
     pub fn classify_batch_into(&self, packets: &[Packet], out: &mut Vec<Decision>) {
         out.clear();
         out.reserve(packets.len());
-        out.extend(packets.iter().map(|p| self.decide(p.values())));
+        out.extend(packets.iter().map(|p| {
+            let values = p.values();
+            self.decide(|f| values[f])
+        }));
     }
 
     /// Longest root-to-decision walk plus arena accounting. Relies on the

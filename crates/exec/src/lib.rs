@@ -42,10 +42,17 @@
 //! * [`CompileStats`] / [`RecompileStats`] — node/arena/depth accounting in
 //!   the style of `fw_core::FddStats`, plus the shared-vs-fresh split of an
 //!   incremental swap;
+//! * [`calibrate`] / [`CompiledFdd::classify_auto`] — the one place an
+//!   engine is picked for a single image: a short race of the FDD walk,
+//!   the lane kernel at each width × thread count, the specialized twin
+//!   and the cached front end over a sample of the real batch, whose
+//!   winner every auto serving surface routes through (see
+//!   `calibrate.rs`);
 //! * [`SubgraphPool`] — cross-image shared compilation for fleet serving:
 //!   one pool of compiled nodes keyed by canonical `fw_core::ConsId`, so
 //!   subtrees shared between tenants of a multi-policy registry are
-//!   lowered once and an image is just a root index (see `shared.rs`);
+//!   lowered once and an image is just a root index; the pool serves
+//!   through one serial column walk (see `shared.rs`);
 //! * [`Profile`] / [`CompiledFdd::specialize`] — profile-guided image
 //!   specialization: a sampling arm of the auto serving surfaces gathers
 //!   per-node visit and per-cut hit histograms at near-zero fast-path
@@ -101,15 +108,15 @@ pub use cache::{
     UNTAGGED,
 };
 pub use calibrate::{
-    calibrate, calibrate_with_cache, Calibration, EngineChoice, EngineKind, EngineScratch,
-    EngineTable, Trial, CALIBRATE_LANE_WIDTHS, CALIBRATE_SAMPLE,
+    calibrate, calibrate_with_cache, Calibration, EngineChoice, EngineKind, EngineScratch, Trial,
+    CALIBRATE_LANE_WIDTHS, CALIBRATE_SAMPLE,
 };
 pub use compile::{CompileStats, CompiledFdd, JUMP_TABLE_MAX_BITS};
 pub use error::ExecError;
 pub use kernel::{LaneScratch, DEFAULT_LANE_WIDTH};
 pub use live::{LiveMatcher, SwapReport};
 pub use par::ParScratch;
-pub use profile::{PoolProfile, Profile, PROFILE_SAMPLE_ROWS};
+pub use profile::{Profile, PROFILE_SAMPLE_ROWS};
 pub use recompile::RecompileStats;
 pub use shared::SubgraphPool;
 pub use specialize::{SpecializePlan, SpecializedFdd};

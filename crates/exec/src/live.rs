@@ -210,13 +210,6 @@ impl LiveMatcher {
         *self.choice.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Installs an engine choice directly, bypassing calibration — for
-    /// callers that already measured (the bench harness) or were told
-    /// (`fwclass --engine`).
-    pub fn set_engine_choice(&self, choice: EngineChoice) {
-        *self.choice.write().unwrap_or_else(PoisonError::into_inner) = choice;
-    }
-
     /// Enables the [`DecisionCache`] front end at `capacity` entries
     /// (replacing any previous cache) and turns cached routing on for
     /// [`classify_auto_into`](Self::classify_auto_into). A later
@@ -263,9 +256,9 @@ impl LiveMatcher {
     /// snapshot (walk included — the matcher keeps the source diagram on
     /// hand) and installs the winner for
     /// [`classify_auto_into`](Self::classify_auto_into). Pass `rows` when
-    /// the serving loop also has the row-major trace, so the scalar and
-    /// walk-over-rows candidates race too; `max_threads = 0` means "all
-    /// available cores".
+    /// the serving loop also has the row-major trace, so the walk races
+    /// over rows instead of gathering from the columns; `max_threads = 0`
+    /// means "all available cores".
     ///
     /// # Errors
     ///
@@ -687,7 +680,6 @@ mod tests {
         let expect = image.classify_columns(&batch).unwrap();
         for kind in [
             crate::EngineKind::Walk,
-            crate::EngineKind::Scalar,
             crate::EngineKind::Columns,
             crate::EngineKind::Lanes,
         ] {

@@ -403,8 +403,8 @@ impl SpecializedFdd {
     }
 
     /// Sharded column classification: the batch is split into one
-    /// contiguous span per worker (same static carve as
-    /// [`crate::SubgraphPool::classify_auto_into`]).
+    /// contiguous span per worker — a uniform static carve, since the
+    /// walk costs roughly the same per packet.
     pub(crate) fn classify_par_into(
         &self,
         batch: &PacketBatch,

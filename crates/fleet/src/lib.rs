@@ -36,11 +36,10 @@
 //! path's O(corridor) patch; fleet edits are rare per tenant, and the
 //! rebuild still interns against the shared arena.
 //!
-//! Persistence goes through FWEX ([`save_fleet`]/[`load_fleet`]): a
-//! manifest of schema + tenant→policy bindings, per-policy rule text, and
-//! a per-policy compiled FWEX image whose header binds it to the schema —
-//! restores revalidate structurally and cross-check the rebuilt pool
-//! against the decoded images.
+//! Persistence ([`save_fleet`]/[`load_fleet`]) is a manifest of schema +
+//! tenant→policy bindings plus per-policy rule text, content-addressed;
+//! restores recompute every content hash and check the rebuilt pool
+//! against the reference first-match scan on each policy's witnesses.
 //!
 //! # Example
 //!

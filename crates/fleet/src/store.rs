@@ -1,21 +1,24 @@
-//! Fleet persistence over FWEX: a plain-text manifest binding tenants to
-//! content-addressed policies, plus per-policy rule text and a compiled
-//! FWEX image.
+//! Fleet persistence: a plain-text manifest binding tenants to
+//! content-addressed policies, plus per-policy rule text.
 //!
 //! Layout of a fleet directory:
 //!
 //! ```text
 //! fleet.manifest          # schemas, policy hashes, tenant bindings
 //! <hash:016x>.rules       # the policy's rule text (fw-model DSL)
-//! <hash:016x>.fwex        # the policy's compiled image (FWEX wire format)
 //! ```
 //!
+//! No compiled image is stored: the registry compiles every policy into
+//! its shared pool on load, so a stored image would never serve. Any other
+//! file in the directory (such as a `.fwex` image an older version wrote)
+//! is ignored.
+//!
 //! Restores are paranoid by design: the manifest's content hashes are
-//! recomputed from the parsed rule text, the FWEX images are decoded with
-//! full structural revalidation against the manifest schema, and the
-//! registry rebuilt from the rule text is cross-checked against each
-//! decoded image on the policy's witness packets. Any disagreement is a
-//! [`FleetError::Store`] — a corrupt store never serves.
+//! recomputed from the parsed rule text, the registry refuses to build a
+//! non-comprehensive policy, and the registry rebuilt from that text is
+//! checked against the reference first-match scan on each policy's
+//! witness packets. Any disagreement is a [`FleetError::Store`] — a
+//! corrupt store never serves.
 //!
 //! Serving epochs are *not* persisted: a freshly loaded fleet starts every
 //! tenant at epoch 0, mirroring a process restart.
@@ -23,9 +26,6 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use bytes::Bytes;
-use fw_core::Fdd;
-use fw_exec::CompiledFdd;
 use fw_model::{FieldDef, Firewall, Schema};
 
 use crate::registry::{policy_hash, TenantId};
@@ -40,15 +40,13 @@ fn store_err(msg: impl Into<String>) -> FleetError {
 
 /// Persist `registry` into `dir` (created if absent).
 ///
-/// One `.rules` + `.fwex` pair is written per *distinct* policy — a fleet
-/// of 10k tenants on near-identical policies persists each distinct
-/// policy once, and identical tenants share files by content hash.
+/// One `.rules` file is written per *distinct* policy — a fleet of 10k
+/// tenants on near-identical policies persists each distinct policy once,
+/// and identical tenants share files by content hash.
 ///
 /// # Errors
 ///
-/// [`FleetError::Io`] on filesystem failures; [`FleetError::Core`] /
-/// [`FleetError::Exec`] if a policy fails to recompile for its image
-/// (registry invariants make this unreachable in practice).
+/// [`FleetError::Io`] on filesystem failures.
 pub fn save_fleet(registry: &PolicyRegistry, dir: &Path) -> Result<(), FleetError> {
     std::fs::create_dir_all(dir)?;
 
@@ -86,11 +84,6 @@ pub fn save_fleet(registry: &PolicyRegistry, dir: &Path) -> Result<(), FleetErro
     for (hash, (schema_idx, firewall)) in &policies {
         manifest.push_str(&format!("policy {schema_idx} {hash:016x}\n"));
         std::fs::write(dir.join(format!("{hash:016x}.rules")), firewall.to_dsl())?;
-        let compiled = CompiledFdd::compile(&Fdd::from_firewall(firewall)?.reduced())?;
-        std::fs::write(
-            dir.join(format!("{hash:016x}.fwex")),
-            &compiled.encode()[..],
-        )?;
     }
     manifest.push_str(&format!("tenants {}\n", tenants.len()));
     for (id, hash) in &tenants {
@@ -104,14 +97,14 @@ pub fn save_fleet(registry: &PolicyRegistry, dir: &Path) -> Result<(), FleetErro
 /// Restore a fleet persisted by [`save_fleet`], revalidating everything.
 ///
 /// The registry is rebuilt from the per-policy *rule text* (the canonical
-/// source of truth); the FWEX images are decoded with structural
-/// revalidation and used as an independent cross-check — each rebuilt
-/// policy must agree with its decoded image on every witness packet.
+/// source of truth), then checked against the reference first-match scan
+/// ([`Firewall::decision_for`]) on every witness packet of every policy.
 ///
 /// # Errors
 ///
 /// [`FleetError::Store`] for a missing/malformed manifest, a content-hash
-/// mismatch, or an image/rules disagreement; [`FleetError::Io`] /
+/// mismatch, or a registry/first-match disagreement; [`FleetError::Core`]
+/// for a non-comprehensive policy; [`FleetError::Io`] /
 /// [`FleetError::Model`] / [`FleetError::Exec`] for the underlying
 /// failures.
 pub fn load_fleet(dir: &Path) -> Result<PolicyRegistry, FleetError> {
@@ -164,7 +157,6 @@ pub fn load_fleet(dir: &Path) -> Result<PolicyRegistry, FleetError> {
 
     let n_policies = expect_count(&mut lines, "policies")?;
     let mut policies: BTreeMap<u64, Firewall> = BTreeMap::new();
-    let mut images: BTreeMap<u64, CompiledFdd> = BTreeMap::new();
     for _ in 0..n_policies {
         let line = lines
             .next()
@@ -196,30 +188,13 @@ pub fn load_fleet(dir: &Path) -> Result<PolicyRegistry, FleetError> {
                 "content hash mismatch for {hash:016x}: rules hash to {actual:016x}"
             )));
         }
-
-        let fwex_path = dir.join(format!("{hash:016x}.fwex"));
-        let image_bytes = std::fs::read(&fwex_path)
-            .map_err(|e| store_err(format!("cannot read {}: {e}", fwex_path.display())))?;
-        let image = CompiledFdd::decode(schema.clone(), Bytes::from(image_bytes))?;
-
-        // Cross-check: the policy rebuilt from rule text must agree with
-        // the persisted compiled image on every witness packet.
-        for packet in firewall.witnesses() {
-            let want = firewall
-                .decision_for(&packet)
-                .ok_or_else(|| store_err(format!("policy {hash:016x} is not comprehensive")))?;
-            if image.classify(&packet) != want {
-                return Err(store_err(format!(
-                    "image/rules disagreement for policy {hash:016x} on {packet:?}"
-                )));
-            }
-        }
         policies.insert(hash, firewall);
-        images.insert(hash, image);
     }
 
     let n_tenants = expect_count(&mut lines, "tenants")?;
     let registry = PolicyRegistry::new();
+    // One bound tenant per policy, to serve its witnesses through below.
+    let mut tenant_of: BTreeMap<u64, TenantId> = BTreeMap::new();
     for _ in 0..n_tenants {
         let line = lines
             .next()
@@ -241,27 +216,22 @@ pub fn load_fleet(dir: &Path) -> Result<PolicyRegistry, FleetError> {
             store_err(format!("tenant {id} references unknown policy {hash:016x}"))
         })?;
         registry.add_tenant(TenantId(id), firewall.clone())?;
+        tenant_of.entry(hash).or_insert(TenantId(id));
     }
     if lines.next() != Some("end") {
         return Err(store_err("manifest missing end marker"));
     }
 
-    // Final cross-check: the rebuilt shared pool must agree with each
-    // decoded standalone image through the registry's own serving path.
-    for (hash, firewall) in &policies {
-        let image = &images[hash];
-        if let Some(tenant) = registry.tenant_ids().into_iter().find(|t| {
-            registry
-                .policy(*t)
-                .map(|fw| policy_hash(&fw) == *hash)
-                .unwrap_or(false)
-        }) {
-            for packet in firewall.witnesses() {
-                if registry.classify(tenant, &packet)? != image.classify(&packet) {
-                    return Err(store_err(format!(
-                        "rebuilt pool disagrees with persisted image for policy {hash:016x}"
-                    )));
-                }
+    // Final check: the rebuilt shared pool agrees with the reference
+    // first-match scan on each bound policy's witnesses.
+    for (hash, &tenant) in &tenant_of {
+        let firewall = &policies[hash];
+        for packet in firewall.witnesses() {
+            if Some(registry.classify(tenant, &packet)?) != firewall.decision_for(&packet) {
+                return Err(store_err(format!(
+                    "rebuilt pool disagrees with the first-match scan for policy \
+                     {hash:016x} on {packet:?}"
+                )));
             }
         }
     }
@@ -332,6 +302,84 @@ mod tests {
         match load_fleet(&dir) {
             Err(FleetError::Store(msg)) => assert!(msg.contains("hash mismatch"), "{msg}"),
             other => panic!("expected Store error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Directories written before `.fwex` images were dropped still load:
+    /// the stray image files are ignored, and nothing new writes one.
+    #[test]
+    fn stray_fwex_files_are_ignored() {
+        let registry = PolicyRegistry::new();
+        registry.add_tenant(TenantId(1), paper::team_a()).unwrap();
+        registry.add_tenant(TenantId(2), paper::team_b()).unwrap();
+        let dir = tempdir("fwex");
+        save_fleet(&registry, &dir).unwrap();
+        let files = || -> Vec<std::path::PathBuf> {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(|e| e.ok())
+                .map(|e| e.path())
+                .collect()
+        };
+        assert!(files()
+            .iter()
+            .all(|p| p.extension().is_none_or(|x| x != "fwex")));
+        // What an older save left next to each rule file: its compiled
+        // FWEX image.
+        let schema = paper::team_a().schema().clone();
+        for rules in files()
+            .iter()
+            .filter(|p| p.extension().is_some_and(|x| x == "rules"))
+        {
+            let text = std::fs::read_to_string(rules).unwrap();
+            let fw = Firewall::parse(schema.clone(), &text).unwrap();
+            let image = fw_exec::CompiledFdd::from_firewall(&fw).unwrap();
+            std::fs::write(rules.with_extension("fwex"), &image.encode()[..]).unwrap();
+        }
+        assert_eq!(files().len(), 5, "manifest + two .rules + two .fwex");
+        let restored = load_fleet(&dir).unwrap();
+        assert_eq!(restored.tenant_ids(), registry.tenant_ids());
+        for (tenant, fw) in [
+            (TenantId(1), paper::team_a()),
+            (TenantId(2), paper::team_b()),
+        ] {
+            for packet in fw.witnesses() {
+                assert_eq!(
+                    restored.classify(tenant, &packet).unwrap(),
+                    fw.decision_for(&packet).unwrap()
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn non_comprehensive_policies_are_rejected() {
+        let registry = PolicyRegistry::new();
+        registry.add_tenant(TenantId(1), paper::team_a()).unwrap();
+        let dir = tempdir("partial");
+        save_fleet(&registry, &dir).unwrap();
+        // Swap in a rule text with no catch-all, re-addressed under its own
+        // content hash so the hash check passes and the policy reaches the
+        // comprehensiveness check.
+        let schema = paper::team_a().schema().clone();
+        let partial = Firewall::parse(schema, "iface=0 -> accept\n").unwrap();
+        let old = format!("{:016x}", policy_hash(&paper::team_a()));
+        let new = format!("{:016x}", policy_hash(&partial));
+        std::fs::remove_file(dir.join(format!("{old}.rules"))).unwrap();
+        std::fs::write(dir.join(format!("{new}.rules")), partial.to_dsl()).unwrap();
+        let manifest = std::fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        std::fs::write(dir.join(MANIFEST), manifest.replace(&old, &new)).unwrap();
+        match load_fleet(&dir) {
+            Err(e) => assert!(
+                matches!(
+                    e,
+                    FleetError::Core(fw_core::CoreError::NotComprehensive { .. })
+                ),
+                "{e:?}"
+            ),
+            Ok(_) => panic!("a partial policy must not serve"),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -7,31 +7,24 @@
 //!     fwclass [--schema tcp-ip|paper] [--format dsl|iptables]
 //!             [--trace FILE | --random N | --biased N | --zipf N]
 //!             [--scatter F] [--zipf-s S] [--seed S]
-//!             [--engine scalar|columns|lanes|auto]
-//!             [--lane-width W] [--threads T] [--cache CAP]
+//!             [--threads T] [--cache CAP]
 //!             [--save-trace FILE] [--save-compiled FILE]
 //!             [--edits FILE] [--check] [--profile] <policy.fw>
 //!
-//! ENGINE (default scalar):
-//!     --engine scalar   row-major walk, packet by packet
-//!     --engine columns  field-major scalar walk over a transposed batch
-//!     --engine lanes    level-synchronous lane kernel over the same batch
-//!     --engine auto     race every engine (FDD walk included) over a
-//!                       sample of the trace, then replay through the
-//!                       winner; prints each trial and the chosen engine
-//!     --lane-width W    packets in flight per lane-kernel chunk
-//!                       (default 32; only meaningful with --engine lanes)
-//!     --threads T       worker threads for the parallel lane pipeline and
-//!                       the calibrator's thread ladder (default 1; 0 means
-//!                       every available core)
+//! ENGINE:
+//!     The replay runs through the calibrated engine: every candidate (the
+//!     FDD walk, the lane kernel at each width × thread count) races over
+//!     a sample of the trace, each trial and the winner are printed, and
+//!     the whole trace replays through the winner.
+//!     --threads T       top of the calibrator's thread ladder (default 1;
+//!                       0 means every available core)
 //!     --cache CAP       front the replay with a CAP-entry decision cache:
 //!                       hits serve from the cache, misses go through the
-//!                       selected engine and are inserted back. The timed
+//!                       calibrated engine and are inserted back. The
+//!                       calibrator races a `cache+` arm too. The timed
 //!                       replay runs warm (an untimed fill pass precedes
 //!                       it) and a cache stats line (hits/misses/hit rate)
-//!                       prints after it. With --engine auto the
-//!                       calibrator races a `cache+` arm too and its trial
-//!                       line is printed with the rest
+//!                       prints after it
 //!
 //! TRACE SOURCE (default --random 100000):
 //!     --trace FILE    replay a trace file written by --save-trace (or the
@@ -51,8 +44,9 @@
 //!     counts, and throughput for the compiled matcher vs the O(n·d)
 //!     linear first-match scan
 //!
-//!     --check         also replay via the plain FDD walk and verify all
-//!                     three engines agree on every packet of the trace
+//!     --check         also replay via the plain FDD walk and verify it,
+//!                     the linear scan and the compiled matcher agree on
+//!                     every packet of the trace
 //!     --profile       replay the trace once more through the instrumented
 //!                     walk, print the hot-node / hot-cut heat report
 //!                     (visit counts per node, hit histograms per cut
@@ -91,8 +85,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: fwclass [--schema tcp-ip|paper] [--format dsl|iptables] \
          [--trace FILE | --random N | --biased N | --zipf N] [--scatter F] \
-         [--zipf-s S] [--seed S] [--engine scalar|columns|lanes|auto] \
-         [--lane-width W] [--threads T] [--cache CAP] [--save-trace FILE] \
+         [--zipf-s S] [--seed S] [--threads T] [--cache CAP] [--save-trace FILE] \
          [--save-compiled FILE] [--edits FILE] [--check] [--profile] <policy.fw>"
     );
     ExitCode::from(2)
@@ -105,25 +98,6 @@ enum TraceSource {
     File(String),
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Engine {
-    Scalar,
-    Columns,
-    Lanes,
-    Auto,
-}
-
-impl Engine {
-    fn name(self) -> &'static str {
-        match self {
-            Engine::Scalar => "scalar",
-            Engine::Columns => "columns",
-            Engine::Lanes => "lanes",
-            Engine::Auto => "auto",
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let mut schema = Schema::tcp_ip();
     let mut iptables = false;
@@ -131,8 +105,6 @@ fn main() -> ExitCode {
     let mut scatter = 0.3f64;
     let mut zipf_s = 1.0f64;
     let mut seed = 1u64;
-    let mut engine = Engine::Scalar;
-    let mut lane_width = diverse_firewall::exec::DEFAULT_LANE_WIDTH;
     let mut threads = 1usize;
     let mut cache_capacity = 0usize;
     let mut save_trace: Option<String> = None;
@@ -207,23 +179,6 @@ fn main() -> ExitCode {
                 Some(s) => seed = s,
                 None => {
                     eprintln!("fwclass: --seed needs an integer");
-                    return usage();
-                }
-            },
-            "--engine" => match args.next().as_deref() {
-                Some("scalar") => engine = Engine::Scalar,
-                Some("columns") => engine = Engine::Columns,
-                Some("lanes") => engine = Engine::Lanes,
-                Some("auto") => engine = Engine::Auto,
-                other => {
-                    eprintln!("fwclass: unknown engine {other:?}");
-                    return usage();
-                }
-            },
-            "--lane-width" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(w) if w >= 1 => lane_width = w,
-                _ => {
-                    eprintln!("fwclass: --lane-width needs a positive integer");
                     return usage();
                 }
             },
@@ -354,56 +309,48 @@ fn main() -> ExitCode {
         println!("wrote compiled matcher to {path}");
     }
 
-    // Column engines transpose up front; the transpose (with its one-pass
+    // The batch is transposed up front; the transpose (with its one-pass
     // per-column validation) is deliberately outside the timed region, the
     // same way the bench harness amortises it over a replayed batch.
-    let batch = if engine == Engine::Scalar && cache_capacity == 0 && !profile_heat {
-        None
-    } else {
+    let batch =
         match diverse_firewall::exec::PacketBatch::from_trace(schema.clone(), trace.packets()) {
-            Ok(b) => Some(b),
+            Ok(b) => b,
             Err(e) => {
                 eprintln!("fwclass: trace does not fit the schema: {e}");
                 return ExitCode::FAILURE;
             }
-        }
-    };
-    // The auto engine races every candidate over a trace sample before the
+        };
+    // The calibrator races every candidate over a trace sample before the
     // timed replay — calibration (and the FDD walk candidate's diagram) is
     // set-up cost, like the transpose above.
-    let calibrated = if engine == Engine::Auto {
-        let fdd = match diverse_firewall::core::Fdd::from_firewall_fast(&fw) {
-            Ok(f) => f.reduced(),
-            Err(e) => {
-                eprintln!("fwclass: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let b = batch.as_ref().expect("batch built for every column engine");
-        // A zero capacity makes this the plain `calibrate` race; with
-        // --cache the `cache+` arm runs too and prints with the trials.
-        let cal = match diverse_firewall::exec::calibrate_with_cache(
-            &compiled,
-            Some(&fdd),
-            Some(trace.packets()),
-            b,
-            threads,
-            cache_capacity,
-        ) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("fwclass: calibration failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        for t in &cal.trials {
-            println!("  trial {:<14} {:7.2} Mpps", t.choice.to_string(), t.mpps);
+    let fdd = match diverse_firewall::core::Fdd::from_firewall_fast(&fw) {
+        Ok(f) => f.reduced(),
+        Err(e) => {
+            eprintln!("fwclass: {e}");
+            return ExitCode::FAILURE;
         }
-        println!("calibrated on {} packet(s): {}", cal.sample, cal.choice);
-        Some((cal.choice, fdd))
-    } else {
-        None
     };
+    // A zero capacity makes this the plain `calibrate` race; with --cache
+    // the `cache+` arm runs too and prints with the trials.
+    let cal = match diverse_firewall::exec::calibrate_with_cache(
+        &compiled,
+        Some(&fdd),
+        Some(trace.packets()),
+        &batch,
+        threads,
+        cache_capacity,
+    ) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("fwclass: calibration failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for t in &cal.trials {
+        println!("  trial {:<14} {:7.2} Mpps", t.choice.to_string(), t.mpps);
+    }
+    println!("calibrated on {} packet(s): {}", cal.sample, cal.choice);
+    let choice = cal.choice;
 
     let mut cache = if cache_capacity > 0 {
         match diverse_firewall::exec::DecisionCache::new(schema.clone(), cache_capacity) {
@@ -418,95 +365,46 @@ fn main() -> ExitCode {
     };
 
     let mut decisions = Vec::new();
+    let mut scratch = diverse_firewall::exec::EngineScratch::default();
     // With --cache, one untimed fill pass leaves the trace's distinct
     // tuples resident so the timed replay measures warm serving — the
     // steady state a long-lived flow cache actually runs in. The batch
     // front end partitions before inserting, so a cold pass can never hit
     // its own insertions and would only time the fill.
-    let cached_plan = cache.as_mut().map(|cache| {
-        use diverse_firewall::exec::{EngineChoice, EngineKind};
-        let (choice, walk) = match (&calibrated, engine) {
-            (Some((choice, fdd)), _) => (choice.with_cache(), Some(fdd)),
-            (None, Engine::Scalar) => (
-                EngineChoice {
-                    kind: EngineKind::Scalar,
-                    lane_width: 0,
-                    threads: 1,
-                    cached: true,
-                },
-                None,
-            ),
-            (None, Engine::Columns) => (
-                EngineChoice {
-                    kind: EngineKind::Columns,
-                    lane_width: 0,
-                    threads: 1,
-                    cached: true,
-                },
-                None,
-            ),
-            (None, _) => (
-                EngineChoice {
-                    kind: EngineKind::Lanes,
-                    lane_width,
-                    threads,
-                    cached: true,
-                },
-                None,
-            ),
-        };
-        let b = batch
-            .as_ref()
-            .expect("batch built whenever the cache is on");
-        let mut scratch = diverse_firewall::exec::EngineScratch::default();
-        let fill =
-            choice.classify_cached_into(&compiled, walk, b, cache, &mut scratch, &mut decisions);
-        cache.reset_stats();
-        (choice, walk, scratch, fill)
-    });
-    let t = Instant::now();
-    let classified = if let Some((choice, walk, mut scratch, fill)) = cached_plan {
-        let cache = cache.as_mut().expect("plan implies cache");
-        let b = batch
-            .as_ref()
-            .expect("batch built whenever the cache is on");
-        fill.and_then(|()| {
-            choice.classify_cached_into(&compiled, walk, b, cache, &mut scratch, &mut decisions)
-        })
-    } else {
-        match (engine, &batch) {
-            (Engine::Scalar, _) => {
-                compiled.classify_batch_into(trace.packets(), &mut decisions);
-                Ok(())
-            }
-            (Engine::Columns, Some(b)) => compiled.classify_columns_into(b, &mut decisions),
-            (Engine::Lanes, Some(b)) if threads == 1 => compiled.classify_lanes_into(
-                b,
-                lane_width,
-                &mut diverse_firewall::exec::LaneScratch::new(),
+    let fill = match cache.as_mut() {
+        Some(cache) => {
+            let fill = choice.classify_cached_into(
+                &compiled,
+                Some(&fdd),
+                &batch,
+                cache,
+                &mut scratch,
                 &mut decisions,
-            ),
-            (Engine::Lanes, Some(b)) => compiled.classify_lanes_par_into(
-                b,
-                lane_width,
-                threads,
-                &mut diverse_firewall::exec::ParScratch::default(),
-                &mut decisions,
-            ),
-            (Engine::Auto, Some(b)) => {
-                let (choice, fdd) = calibrated.as_ref().expect("calibrated above");
-                choice.classify_into(
-                    &compiled,
-                    Some(fdd),
-                    Some(trace.packets()),
-                    b,
-                    &mut diverse_firewall::exec::EngineScratch::default(),
-                    &mut decisions,
-                )
-            }
-            _ => unreachable!("batch built for every column engine"),
+            );
+            cache.reset_stats();
+            fill
         }
+        None => Ok(()),
     };
+    let t = Instant::now();
+    let classified = fill.and_then(|()| match cache.as_mut() {
+        Some(cache) => choice.classify_cached_into(
+            &compiled,
+            Some(&fdd),
+            &batch,
+            cache,
+            &mut scratch,
+            &mut decisions,
+        ),
+        None => choice.classify_into(
+            &compiled,
+            Some(&fdd),
+            Some(trace.packets()),
+            &batch,
+            &mut scratch,
+            &mut decisions,
+        ),
+    });
     if let Err(e) = classified {
         eprintln!("fwclass: classification failed: {e}");
         return ExitCode::FAILURE;
@@ -531,22 +429,14 @@ fn main() -> ExitCode {
 
     let mpps = |n: usize, secs: f64| n as f64 / secs / 1e6;
     let n = trace.len();
-    let engine_label = match &calibrated {
-        Some((choice, _)) if cache.is_some() => format!("auto -> {}", choice.with_cache()),
-        Some((choice, _)) => format!("auto -> {choice}"),
-        None => {
-            let base = if engine == Engine::Lanes && threads != 1 {
-                format!("lanes, {threads} thread(s)")
-            } else {
-                engine.name().to_string()
-            };
-            if cache.is_some() {
-                format!("cache+{base}")
-            } else {
-                base
-            }
-        }
+    // Cached serving is forced by --cache even when the calibrator's
+    // `cache+` arm lost.
+    let served = if cache.is_some() {
+        choice.with_cache()
+    } else {
+        choice
     };
+    let engine_label = format!("auto -> {served}");
     println!(
         "compiled matcher ({engine_label}): {compiled_time:?} ({:.2} Mpps, compile {:.0} µs) | \
          linear scan: {linear_time:?} ({:.2} Mpps) | speedup x{:.2}",
@@ -571,20 +461,10 @@ fn main() -> ExitCode {
     }
 
     if decisions != linear {
-        eprintln!(
-            "fwclass: BUG: compiled matcher ({}) disagrees with linear scan",
-            engine.name()
-        );
+        eprintln!("fwclass: BUG: compiled matcher ({engine_label}) disagrees with linear scan");
         return ExitCode::FAILURE;
     }
     if check {
-        let fdd = match diverse_firewall::core::Fdd::from_firewall_fast(&fw) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("fwclass: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
         let t = Instant::now();
         let walked: Vec<Decision> = trace.packets().iter().map(|p| fdd.evaluate(p)).collect();
         let walk_time = t.elapsed();
@@ -600,12 +480,9 @@ fn main() -> ExitCode {
     }
 
     if profile_heat {
-        let b = batch
-            .as_ref()
-            .expect("batch built whenever --profile is on");
         let mut profile = diverse_firewall::exec::Profile::new_for(&compiled);
         let mut profiled = Vec::new();
-        if let Err(e) = compiled.classify_profiled_into(b, &mut profile, &mut profiled) {
+        if let Err(e) = compiled.classify_profiled_into(&batch, &mut profile, &mut profiled) {
             eprintln!("fwclass: --profile replay failed: {e}");
             return ExitCode::FAILURE;
         }

@@ -46,8 +46,8 @@
 //!                     `remove IDX`, `swap I J`; `#` comments skipped.
 //!
 //! PERSISTENCE:
-//!     --save-dir DIR  persist the fleet: manifest + one .rules/.fwex pair
-//!                     per distinct policy (content-addressed)
+//!     --save-dir DIR  persist the fleet: manifest + one .rules file per
+//!                     distinct policy (content-addressed)
 //! ```
 //!
 //! Always printed: registry occupancy (tenants, distinct policies after

@@ -1,10 +1,14 @@
-//! Integration tests for the `fwdiff` command-line tool, driven through the
-//! real binary.
+//! Integration tests for the `fwdiff` and `fwclass` command-line tools,
+//! driven through the real binaries.
 
 use std::process::Command;
 
 fn fwdiff() -> Command {
     Command::new(env!("CARGO_BIN_EXE_fwdiff"))
+}
+
+fn fwclass() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_fwclass"))
 }
 
 fn repo_path(rel: &str) -> String {
@@ -123,4 +127,39 @@ fn iptables_format_diff() {
         stdout.contains("dport=25"),
         "mail narrowing missing: {stdout}"
     );
+}
+
+#[test]
+fn fwclass_calibrates_and_serves_through_the_cache() {
+    let out = fwclass()
+        .args([
+            "--zipf".to_owned(),
+            "2000".to_owned(),
+            "--cache".to_owned(),
+            "4096".to_owned(),
+            "--check".to_owned(),
+            repo_path("policies/dmz_v2.fw"),
+        ])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    assert!(stdout.contains("calibrated on"), "got: {stdout}");
+    assert!(stdout.contains("(auto -> cache+"), "got: {stdout}");
+    assert!(
+        stdout.contains("check: linear scan == FDD walk"),
+        "got: {stdout}"
+    );
+}
+
+#[test]
+fn fwclass_has_no_engine_flag() {
+    for args in [["--engine", "scalar"], ["--lane-width", "16"]] {
+        let out = fwclass()
+            .args(args)
+            .arg(repo_path("policies/dmz_v2.fw"))
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
+    }
 }

@@ -180,17 +180,11 @@ fn engines_match_exhaustive_oracle_on_tiny_schema() {
         }
 
         // The whole domain through the auto route, under every engine
-        // choice a calibrator could install: all four kinds, serial and
-        // sharded, at two lane widths — 64 packets checked cell-by-cell
-        // each time.
+        // choice it routes: walk, columns and lanes, serial and sharded,
+        // at two lane widths — 64 packets checked cell-by-cell each time.
         let mut scratch = EngineScratch::default();
         let mut out = Vec::new();
-        for kind in [
-            EngineKind::Walk,
-            EngineKind::Scalar,
-            EngineKind::Columns,
-            EngineKind::Lanes,
-        ] {
+        for kind in [EngineKind::Walk, EngineKind::Columns, EngineKind::Lanes] {
             for threads in [1usize, 2, 4, 8] {
                 for lane_width in [8usize, 32] {
                     let choice = EngineChoice {

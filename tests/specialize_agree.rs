@@ -60,7 +60,6 @@ fn assert_specialized_agrees(compiled: &CompiledFdd, fw: &Firewall, probes: &[Pa
     let mut got = Vec::new();
     for kind in [
         EngineKind::Walk,
-        EngineKind::Scalar,
         EngineKind::Columns,
         EngineKind::Lanes,
         EngineKind::Spec,
