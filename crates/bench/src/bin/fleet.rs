@@ -87,9 +87,10 @@ fn bench_fleet(rows: &mut Vec<Row>, name: &str, base: &Firewall, spec: &Spec) {
     let stats = registry.stats();
 
     // Independent baseline: build a spread of tenants standalone and
-    // average what each would hold — the compiled image (flat arena +
-    // lane mirror) plus the maintained suffix chain a LiveMatcher keeps
-    // between edits (its own private cons arena included).
+    // average what each would hold — the compiled image (`arena_bytes`,
+    // which already counts the lane mirror) plus the maintained suffix
+    // chain a LiveMatcher keeps between edits (its own private cons arena
+    // included).
     let step = (tenants / BASELINE_SAMPLE).max(1);
     let sample: Vec<usize> = (0..tenants).step_by(step).take(BASELINE_SAMPLE).collect();
     let mut independent_bytes = 0usize;
@@ -97,7 +98,7 @@ fn bench_fleet(rows: &mut Vec<Row>, name: &str, base: &Firewall, spec: &Spec) {
         let compiled = CompiledFdd::from_firewall(&fleet[i]).expect("benchmark policies compile");
         let maintained = MaintainedFdd::new(fleet[i].clone()).expect("policies maintain");
         let s = compiled.stats();
-        independent_bytes += s.arena_bytes + s.lane_arena_bytes + maintained.approx_bytes();
+        independent_bytes += s.arena_bytes + maintained.approx_bytes();
     }
     let independent_bytes_per_tenant = independent_bytes / sample.len();
 

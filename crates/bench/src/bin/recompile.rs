@@ -1,34 +1,32 @@
-//! Incremental-recompile benchmark: applies deterministic edit batches
-//! (sizes 1/4/16, drawn from the `fw_synth::evolve` administrative-action
-//! mix) to the Fig. 12 real-life-sized and Fig. 13 `n=500` synthetic
-//! policies, then times the whole edit-to-image pipeline both ways and
-//! writes `BENCH_recompile.json`:
+//! Edit-to-image benchmark: applies deterministic edit batches (sizes
+//! 1/4/16, drawn from the `fw_synth::evolve` administrative-action mix)
+//! to the Fig. 12 real-life-sized and Fig. 13 `n=500` synthetic policies,
+//! then times the whole edit-to-image pipeline both ways and writes
+//! `BENCH_recompile.json`:
 //!
 //! * the **maintained** path — patch a `MaintainedFdd` suffix chain
 //!   (`maintain_us`), short-circuit diff for the impact
 //!   (`impact_local_us`), export the patched diagram (`export_fdd_us`),
-//!   splice it into the old image (`incremental_us`);
+//!   compile it (`compile_us`) — what `LiveMatcher::apply_edits` runs;
 //! * the **full** path — whole-policy comparison for the impact
 //!   (`impact_full_us`), rebuild the post-edit FDD from the rule list
-//!   (`post_edit_fdd_us`), full relower (`full_us`).
+//!   (`post_edit_fdd_us`), compile; `full_us` times
+//!   `CompiledFdd::from_firewall` (rebuild + compile) for reference.
 //!
-//! The `e2e_*` fields sum each pipeline end to end (both end at the
-//! splice — the full relower is reported for reference); `impact_us`
-//! keeps timing `ChangeImpact::of_edits` for continuity with earlier
-//! runs of this file.
+//! The `e2e_*` fields sum each pipeline end to end (both end at the same
+//! compile); `impact_us` keeps timing `ChangeImpact::of_edits` for
+//! continuity with earlier runs of this file.
 //!
 //! Run with: `cargo run --release -p fw-bench --bin recompile`
 //! (CI runs `-- --smoke`: one repeat, smaller oracle trace, same rows).
 //!
 //! Every policy and edit batch comes from fixed seeds, so matcher shapes
-//! and sharing ratios are reproducible run to run (only timings vary with
-//! the machine). The run is also an oracle: before any timing, the bin
-//! asserts the spliced image (built from the maintained diagram and
-//! impact), a fresh compile of the post-edit policy, and the linear
-//! first-match scan agree on every packet of a replay trace, that the
-//! maintained impact counts the same affected packets as
-//! `ChangeImpact::of_edits`, and that the spliced image round-trips the
-//! wire format.
+//! are reproducible run to run (only timings vary with the machine). The run is also an oracle: before any timing, the bin
+//! asserts the published image (compiled from the maintained diagram), a
+//! fresh compile of the post-edit policy, and the linear first-match scan
+//! agree on every packet of a replay trace, that the maintained impact
+//! counts the same affected packets as `ChangeImpact::of_edits`, and that
+//! the published image round-trips the wire format.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -57,28 +55,23 @@ struct Row {
     export_fdd_us: f64,
     post_edit_fdd_us: f64,
     full_us: f64,
-    incremental_us: f64,
+    compile_us: f64,
     nodes: usize,
-    nodes_shared: usize,
-    nodes_fresh: usize,
-    bytes_shared: usize,
-    bytes_fresh: usize,
-    lane_arena_rebuilt: bool,
     lane_arena_bytes: usize,
     maintain: MaintainStats,
 }
 
 impl Row {
     /// Edit-to-image latency on the maintained path: patch the chain,
-    /// diff for the impact, export the diagram, splice the image.
-    fn e2e_incremental_us(&self) -> f64 {
-        self.maintain_us + self.impact_local_us + self.export_fdd_us + self.incremental_us
+    /// diff for the impact, export the diagram, compile the image.
+    fn e2e_maintained_us(&self) -> f64 {
+        self.maintain_us + self.impact_local_us + self.export_fdd_us + self.compile_us
     }
 
     /// The same pipeline without maintenance: whole-policy impact
-    /// comparison, post-edit FDD rebuild from the rule list, splice.
+    /// comparison, post-edit FDD rebuild from the rule list, compile.
     fn e2e_full_us(&self) -> f64 {
-        self.impact_full_us + self.post_edit_fdd_us + self.incremental_us
+        self.impact_full_us + self.post_edit_fdd_us + self.compile_us
     }
 }
 
@@ -114,8 +107,8 @@ fn flip_only() -> EvolutionProfile {
 
 /// A deterministic edit batch with a non-trivial impact, plus the timed
 /// impact analysis for the salt that produced it (flips of shadowed rules
-/// are no-ops; those salts are skipped so every row exercises a real
-/// splice).
+/// are no-ops; those salts are skipped so every row publishes a new
+/// image).
 fn edit_batch(fw: &Firewall, k: usize, seed: u64) -> (Vec<Edit>, Firewall, ChangeImpact, f64) {
     let profile = if k == 1 {
         flip_only()
@@ -136,7 +129,6 @@ fn edit_batch(fw: &Firewall, k: usize, seed: u64) -> (Vec<Edit>, Firewall, Chang
 }
 
 fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, seed: u64) {
-    let base = CompiledFdd::from_firewall(fw).expect("benchmark policies compile");
     // Built once per workload, untimed: a server pays for the chain at
     // startup, then every edit batch below is incremental.
     let maintained_base = MaintainedFdd::new(fw.clone()).expect("benchmark policies maintain");
@@ -219,44 +211,44 @@ fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, s
             "{name}/k={k}: maintained impact diverges from of_edits"
         );
 
-        // The oracle's compile and splice double as the first timing
-        // sample, so single-repeat (smoke) rows do each exactly once.
-        // The splice consumes the maintained outputs — the image a
-        // LiveMatcher would publish.
+        // The oracle's two compiles double as the first timing sample, so
+        // single-repeat (smoke) rows do each exactly once. The maintained
+        // compile consumes the exported diagram — the image a LiveMatcher
+        // would publish.
         let t = Instant::now();
-        let (spliced, stats) = base.recompile(&m_fdd, &m_impact).expect("splice succeeds");
-        let incremental_first = t.elapsed().as_secs_f64();
+        let published = CompiledFdd::compile(&m_fdd).expect("maintained diagrams compile");
+        let compile_first = t.elapsed().as_secs_f64();
         let t = Instant::now();
         let full = CompiledFdd::from_firewall(&after).expect("post-edit policies compile");
         let full_first = t.elapsed().as_secs_f64();
 
-        // Oracle before timing: spliced == fresh == linear scan on the
-        // whole trace, and the spliced image survives the wire format's
+        // Oracle before timing: published == fresh == linear scan on the
+        // whole trace, and the published image survives the wire format's
         // independent re-validation.
-        let mut spliced_out = Vec::new();
+        let mut published_out = Vec::new();
         let mut full_out = Vec::new();
-        spliced.classify_batch_into(trace.packets(), &mut spliced_out);
+        published.classify_batch_into(trace.packets(), &mut published_out);
         full.classify_batch_into(trace.packets(), &mut full_out);
         let linear: Vec<Decision> = trace
             .packets()
             .iter()
             .map(|p| after.decision_for(p).expect("comprehensive policy"))
             .collect();
-        assert_eq!(spliced_out, full_out, "{name}/k={k}: splice diverges");
-        assert_eq!(spliced_out, linear, "{name}/k={k}: compiled diverges");
-        CompiledFdd::decode(fw.schema().clone(), spliced.encode())
-            .expect("spliced image round-trips");
+        assert_eq!(published_out, full_out, "{name}/k={k}: published diverges");
+        assert_eq!(published_out, linear, "{name}/k={k}: compiled diverges");
+        CompiledFdd::decode(fw.schema().clone(), published.encode())
+            .expect("published image round-trips");
 
         let mut full_times = vec![full_first];
         full_times.extend(time_repeats(mode.repeats - 1, || {
             std::hint::black_box(CompiledFdd::from_firewall(&after).expect("compiles"));
         }));
         let full_us = best_us(full_times);
-        let mut incremental_times = vec![incremental_first];
-        incremental_times.extend(time_repeats(mode.repeats - 1, || {
-            std::hint::black_box(base.recompile(&m_fdd, &m_impact).expect("splices"));
+        let mut compile_times = vec![compile_first];
+        compile_times.extend(time_repeats(mode.repeats - 1, || {
+            std::hint::black_box(CompiledFdd::compile(&m_fdd).expect("compiles"));
         }));
-        let incremental_us = best_us(incremental_times);
+        let compile_us = best_us(compile_times);
 
         let row = Row {
             workload: name.to_owned(),
@@ -270,37 +262,25 @@ fn bench_workload(rows: &mut Vec<Row>, mode: &Mode, name: &str, fw: &Firewall, s
             export_fdd_us,
             post_edit_fdd_us,
             full_us,
-            incremental_us,
-            nodes: stats.nodes,
-            nodes_shared: stats.nodes_shared,
-            nodes_fresh: stats.nodes_fresh,
-            bytes_shared: stats.bytes_shared,
-            bytes_fresh: stats.bytes_fresh,
-            lane_arena_rebuilt: stats.lane_arena_rebuilt,
-            lane_arena_bytes: spliced.stats().lane_arena_bytes,
+            compile_us,
+            nodes: published.node_count(),
+            lane_arena_bytes: published.stats().lane_arena_bytes,
             maintain: m_stats,
         };
         println!(
             "{name} k={k}: e2e full {:.0} µs | e2e maintained {:.0} µs (x{:.1}) | \
              maintain {maintain_us:.0} + diff {impact_local_us:.0} + export \
-             {export_fdd_us:.0} + splice {incremental_us:.0} µs | \
-             plan {:?} corridors {} span {} prepends {} copied {} | \
-             {}/{} nodes reused{}",
+             {export_fdd_us:.0} + compile {compile_us:.0} µs | \
+             plan {:?} corridors {} span {} prepends {} copied {} | {} nodes",
             row.e2e_full_us(),
-            row.e2e_incremental_us(),
-            row.e2e_full_us() / row.e2e_incremental_us(),
+            row.e2e_maintained_us(),
+            row.e2e_full_us() / row.e2e_maintained_us(),
             m_stats.plan,
             m_stats.corridors,
             m_stats.corridor_span,
             m_stats.prepends,
             m_stats.copied,
-            stats.nodes_shared,
-            stats.nodes,
-            if stats.lane_arena_rebuilt {
-                ", lane mirror rebuilt"
-            } else {
-                ""
-            },
+            row.nodes,
         );
         rows.push(row);
     }
@@ -361,15 +341,13 @@ fn main() {
              \"affected_packets\": {}, \"impact_us\": {:.1}, \"maintain_us\": {:.1}, \
              \"impact_local_us\": {:.1}, \"impact_full_us\": {:.1}, \
              \"export_fdd_us\": {:.1}, \"post_edit_fdd_us\": {:.1}, \
-             \"full_us\": {:.1}, \"incremental_us\": {:.1}, \"speedup\": {:.2}, \
-             \"e2e_incremental_us\": {:.1}, \"e2e_full_us\": {:.1}, \
+             \"full_us\": {:.1}, \"compile_us\": {:.1}, \
+             \"e2e_maintained_us\": {:.1}, \"e2e_full_us\": {:.1}, \
              \"e2e_speedup\": {:.2}, \
              \"plan\": \"{:?}\", \"corridors\": {}, \"corridor_span\": {}, \
              \"tail_shared\": {}, \"sweep_levels\": {}, \"prepends\": {}, \
              \"copied\": {}, \
-             \"nodes\": {}, \"nodes_shared\": {}, \"nodes_fresh\": {}, \
-             \"bytes_shared\": {}, \"bytes_fresh\": {}, \"lane_arena_rebuilt\": {}, \
-             \"lane_arena_bytes\": {}}}{sep}",
+             \"nodes\": {}, \"lane_arena_bytes\": {}}}{sep}",
             r.workload,
             r.rules,
             r.batch,
@@ -381,11 +359,10 @@ fn main() {
             r.export_fdd_us,
             r.post_edit_fdd_us,
             r.full_us,
-            r.incremental_us,
-            r.full_us / r.incremental_us,
-            r.e2e_incremental_us(),
+            r.compile_us,
+            r.e2e_maintained_us(),
             r.e2e_full_us(),
-            r.e2e_full_us() / r.e2e_incremental_us(),
+            r.e2e_full_us() / r.e2e_maintained_us(),
             r.maintain.plan,
             r.maintain.corridors,
             r.maintain.corridor_span,
@@ -394,11 +371,6 @@ fn main() {
             r.maintain.prepends,
             r.maintain.copied,
             r.nodes,
-            r.nodes_shared,
-            r.nodes_fresh,
-            r.bytes_shared,
-            r.bytes_fresh,
-            r.lane_arena_rebuilt,
             r.lane_arena_bytes
         );
     }

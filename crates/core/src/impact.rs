@@ -166,8 +166,7 @@ impl ChangeImpact {
     /// The fields some changed region actually constrains: an FDD subtree
     /// whose path region is free on every dirty field (or disjoint from all
     /// changed regions) decides identically before and after the change, so
-    /// a consumer patching a compiled form can keep it verbatim.
-    /// `fw_exec::CompiledFdd::recompile` is that consumer.
+    /// a consumer patching a compiled form could keep it verbatim.
     ///
     /// Returns field ids in schema order; empty iff [`Self::is_noop`].
     pub fn dirty_fields(&self, schema: &Schema) -> Vec<FieldId> {

@@ -249,8 +249,9 @@ impl ResolvedSession {
     /// Finalizes the agreed firewall and wraps it in a hot-swap serving
     /// handle: the session's answer to "the policy is agreed, now keep it
     /// running while administrators keep editing it". Subsequent edits go
-    /// through `fw_exec::LiveMatcher::apply_edits` (impact analysis +
-    /// incremental recompile + atomic image swap).
+    /// through `fw_exec::LiveMatcher::apply_edits` (impact analysis on the
+    /// maintained FDD + compile of the patched diagram + atomic image
+    /// swap).
     ///
     /// # Errors
     ///
@@ -258,39 +259,6 @@ impl ResolvedSession {
     pub fn serve(&self) -> Result<fw_exec::LiveMatcher, DiverseError> {
         let agreed = finalize(&self.comparison, &self.resolution)?;
         Ok(fw_exec::LiveMatcher::new(agreed)?)
-    }
-
-    /// Applies `edits` to the finalized agreed firewall and incrementally
-    /// recompiles `image` (a matcher previously produced by
-    /// [`ResolvedSession::compile`] or a full compile of the agreed policy)
-    /// to match — the one-shot form of the serving loop, for callers that
-    /// manage image publication themselves.
-    ///
-    /// Returns the edited policy, the spliced image, the change impact and
-    /// the splice accounting.
-    ///
-    /// # Errors
-    ///
-    /// As for [`finalize`], `fw_core::ChangeImpact::of_edits` and
-    /// `fw_exec::CompiledFdd::recompile`.
-    pub fn recompile(
-        &self,
-        image: &fw_exec::CompiledFdd,
-        edits: &[fw_core::Edit],
-    ) -> Result<
-        (
-            Firewall,
-            fw_exec::CompiledFdd,
-            fw_core::ChangeImpact,
-            fw_exec::RecompileStats,
-        ),
-        DiverseError,
-    > {
-        let agreed = finalize(&self.comparison, &self.resolution)?;
-        let (after, impact) = fw_core::ChangeImpact::of_edits(&agreed, edits)?;
-        let fdd = fw_core::Fdd::from_firewall_fast(&after)?.reduced();
-        let (spliced, stats) = image.recompile(&fdd, &impact)?;
-        Ok((after, spliced, impact, stats))
     }
 }
 
@@ -330,27 +298,19 @@ mod tests {
     }
 
     #[test]
-    fn session_serves_and_recompiles_incrementally() {
+    fn session_serves_and_applies_edits() {
         let resolved = compared().resolve_by_majority();
         let agreed = resolved.finalize().unwrap();
-        let image = resolved.compile().unwrap();
 
-        // One-shot incremental recompile: flip the agreed policy's first
-        // rule and check the spliced image tracks the edited semantics.
+        // Flip the agreed policy's first rule through the serving handle
+        // and check the published image tracks the edited semantics.
         let flip = agreed.rules()[0].with_decision(agreed.rules()[0].decision().inverted());
         let edits = [fw_core::Edit::Replace {
             index: 0,
             rule: flip,
         }];
-        let (after, spliced, impact, stats) = resolved.recompile(&image, &edits).unwrap();
-        assert!(!impact.is_noop());
-        assert_eq!(stats.nodes_shared + stats.nodes_fresh, stats.nodes);
+        let (after, _) = fw_core::ChangeImpact::of_edits(&agreed, &edits).unwrap();
         let trace = fw_synth::PacketTrace::biased(&agreed, 1_000, 0.3, 17);
-        for p in trace.packets() {
-            assert_eq!(Some(spliced.classify(p)), after.decision_for(p));
-        }
-
-        // The serving handle applies the same edits behind an atomic swap.
         let live = resolved.serve().unwrap();
         assert_eq!(live.policy(), agreed);
         let report = live.apply_edits(&edits).unwrap();

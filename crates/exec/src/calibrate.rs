@@ -386,7 +386,7 @@ pub fn calibrate_with_cache(
     let mut trials = Vec::with_capacity(candidates.len());
     let mut best: Option<(f64, EngineChoice)> = None;
     for choice in candidates {
-        // Warm-up pass: forces the lazy mirror, faults the sample in, and
+        // Warm-up pass: faults the sample and the arenas in, and
         // (for the parallel candidates) pages worker scratch to size.
         choice.classify_into(compiled, walk, sample_rows, &sample, &mut scratch, &mut out)?;
         let mut secs = f64::INFINITY;

@@ -15,7 +15,6 @@
 //! larger than its node count.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::OnceLock;
 
 use fw_core::{Fdd, NodeView};
 use fw_model::{Decision, Firewall, Packet, Schema};
@@ -74,10 +73,8 @@ pub struct CompileStats {
     /// Bytes of arena storage (descriptors + cuts + targets + jump tables +
     /// the lane-kernel mirror).
     pub arena_bytes: usize,
-    /// Bytes of the lane kernel's padded search-only mirror alone — the
-    /// part of `arena_bytes` an incremental recompile copies (slice by
-    /// slice) rather than shares, reported separately so
-    /// `BENCH_recompile.json` can split shared from copied storage.
+    /// Bytes of the lane kernel's padded search-only mirror alone; already
+    /// counted in `arena_bytes`.
     pub lane_arena_bytes: usize,
     /// Maximum number of lookups on any root-to-decision walk.
     pub max_depth: usize,
@@ -110,11 +107,9 @@ pub struct CompiledFdd {
     /// BFS of the image.
     pub(crate) level_starts: Vec<u32>,
     /// Search-only mirror of the arenas that the lane kernel runs on;
-    /// derived, never serialized — see `kernel.rs`. Built eagerly by the
-    /// compile/recompile paths but left empty by `decode`, where it fills
-    /// on first lane use via [`CompiledFdd::lane_arena`]: a fleet restore
-    /// that only ever walks the scalar path never pays the mirror build.
-    pub(crate) lanes: OnceLock<crate::kernel::LaneArena>,
+    /// derived, never serialized — see `kernel.rs`. Built by `compile` and,
+    /// once the structure checks accept the image, by `decode`.
+    pub(crate) lanes: crate::kernel::LaneArena,
     pub(crate) stats: CompileStats,
     /// Sampling profile collector, armed by serving surfaces — see
     /// `profile.rs`. Machine- and traffic-local like calibration: never
@@ -156,8 +151,7 @@ impl Clone for CompiledFdd {
 /// Matcher equality is over the canonical image — schema, root, the four
 /// arenas, level table, and stats. The lane mirror is excluded: it is a
 /// deterministic function of those arenas, so two equal matchers always
-/// mirror identically, and comparing it would make equality depend on
-/// whether the lazily-built mirror has been forced yet.
+/// mirror identically.
 impl PartialEq for CompiledFdd {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
@@ -240,10 +234,8 @@ pub(crate) fn walk(
 
 /// Flattens an internal FDD node's edges into sorted `(lo, hi, target)`
 /// spans — targets resolved through `resolve` — and verifies they partition
-/// the field's domain, span by span. Shared by full compilation and the
-/// incremental splice path (`recompile.rs`), so both lower through exactly
-/// one partition check.
-pub(crate) fn sorted_spans<T: Copy>(
+/// the field's domain, span by span.
+fn sorted_spans<T: Copy>(
     schema: &Schema,
     src: fw_core::NodeId,
     field: fw_model::FieldId,
@@ -263,10 +255,9 @@ pub(crate) fn sorted_spans<T: Copy>(
 
 /// Sorts `(lo, hi, target)` spans in place and verifies they partition
 /// `field`'s domain — the single check every lowering path funnels
-/// through: full compilation and the splice path via [`sorted_spans`],
-/// and the cross-image shared subgraph pool (`shared.rs`), which builds
-/// its spans from arena [`fw_core::ConsView`] edges instead of [`Fdd`]
-/// edges.
+/// through: compilation via [`sorted_spans`], and the cross-image shared
+/// subgraph pool (`shared.rs`), which builds its spans from arena
+/// [`fw_core::ConsView`] edges instead of [`Fdd`] edges.
 pub(crate) fn verify_partition<T: Copy>(
     schema: &Schema,
     src: impl std::fmt::Display,
@@ -443,12 +434,7 @@ impl CompiledFdd {
         }
 
         let level_starts = build_level_starts(&nodes);
-        let lanes = OnceLock::from(crate::kernel::LaneArena::build(
-            &nodes,
-            &cuts,
-            &cut_targets,
-            &jump,
-        ));
+        let lanes = crate::kernel::LaneArena::build(&nodes, &cuts, &cut_targets, &jump);
         let mut compiled = CompiledFdd {
             schema,
             root: 0,
@@ -492,19 +478,6 @@ impl CompiledFdd {
     /// Number of compiled nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// The lane kernel's search-only mirror, built on first use.
-    ///
-    /// Compile and recompile populate it eagerly (the splice path needs the
-    /// old mirror anyway); a decoded image defers the build until a lane or
-    /// auto classify actually runs, so scalar-only serving — e.g. a fleet
-    /// restore of thousands of tenants — never pays it. `OnceLock` makes
-    /// the deferred build race-free under concurrent readers.
-    pub(crate) fn lane_arena(&self) -> &crate::kernel::LaneArena {
-        self.lanes.get_or_init(|| {
-            crate::kernel::LaneArena::build(&self.nodes, &self.cuts, &self.cut_targets, &self.jump)
-        })
     }
 
     /// The matcher's inner loop from the root, reading field `f` of the
@@ -576,10 +549,7 @@ impl CompiledFdd {
     /// ordered-FDD property (targets test strictly later fields), which
     /// compilation preserves and decoding verifies.
     pub(crate) fn compute_stats(&self) -> CompileStats {
-        // Projected, not measured, so stats don't depend on (or force) the
-        // lazily-built mirror; `projected_bytes` is proven equal to the
-        // built size in `kernel.rs` tests.
-        let lane_arena_bytes = crate::kernel::LaneArena::projected_bytes(&self.nodes, &self.jump);
+        let lane_arena_bytes = self.lanes.bytes();
         let mut stats = CompileStats {
             nodes: self.nodes.len(),
             cut_points: self.cuts.len(),

@@ -116,10 +116,9 @@ pub(crate) struct KNode {
 const PAD_MAX_BITS: u32 = 8;
 
 /// The search-only mirror of a compiled matcher that the lane kernel runs
-/// on. Derived deterministically from the canonical arenas — eagerly at
-/// compile time, lazily on first lane use after a wire decode (see
-/// [`CompiledFdd::lane_arena`]); never serialized (the FWEX image stays in
-/// the canonical three-arena form).
+/// on. Derived deterministically from the canonical arenas whenever an
+/// image is built — by compile or by wire decode; never serialized (the
+/// FWEX image stays in the canonical three-arena form).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct LaneArena {
     pub(crate) nodes: Vec<KNode>,
@@ -141,162 +140,94 @@ pub(crate) struct LaneArena {
 }
 
 impl LaneArena {
-    /// Re-expresses one canonical node in uniform search form: `(field,
-    /// sorted cuts, parallel targets)`, unpadded. Terminals become one-cut
-    /// self-loops targeting `idx` (their own arena id); jump tables are
-    /// run-length-encoded back into the cut convention. The incremental
-    /// splice calls this per fresh node with exactly the semantics `build`
-    /// uses wholesale.
-    pub(crate) fn mirror_node(
-        idx: usize,
-        n: &NodeDesc,
-        cuts: &[u64],
-        cut_targets: &[u32],
-        jump: &[u32],
-    ) -> (u32, Vec<u64>, Vec<u32>) {
-        match n.kind {
-            KIND_TERMINAL => (
-                0,
-                vec![u64::MAX],
-                vec![u32::try_from(idx).expect("arena indexed by u32")],
-            ),
-            KIND_JUMP => {
-                // Undo the dense expansion: one cut per constant run of
-                // the table, upper bound = the run's last domain value.
-                let table = &jump[n.off as usize..(n.off + n.len) as usize];
-                let (mut nc, mut nt) = (Vec::new(), Vec::new());
-                let mut v = 0usize;
-                while v < table.len() {
-                    let t = table[v];
-                    while v + 1 < table.len() && table[v + 1] == t {
-                        v += 1;
-                    }
-                    nc.push(v as u64);
-                    nt.push(t);
-                    v += 1;
-                }
-                (u32::from(n.field), nc, nt)
-            }
-            _ => {
-                let (o, l) = (n.off as usize, n.len as usize);
-                (
-                    u32::from(n.field),
-                    cuts[o..o + l].to_vec(),
-                    cut_targets[o..o + l].to_vec(),
-                )
-            }
-        }
-    }
-
-    /// The per-node slice size in an arena of the given `bits`: padded to
-    /// `1 << bits` while affordable, the node's own cut count otherwise
-    /// (`0` here means "unpadded").
-    pub(crate) fn pad_to(bits: u32) -> usize {
-        if bits <= PAD_MAX_BITS {
-            1usize << bits
-        } else {
-            0
-        }
-    }
-
-    /// Appends one mirrored node, padding its cut slice to `pad_to` entries
-    /// (`0` = no padding) by repeating the final domain-max cut and its
-    /// target, so a probe can land anywhere in the pad and resolve
-    /// identically.
-    pub(crate) fn push_node(&mut self, field: u32, nc: &[u64], nt: &[u32], pad_to: usize) {
-        let off = u32::try_from(self.cuts.len()).expect("mirror arenas within u32");
-        let len = u32::try_from(nc.len()).expect("node cuts within u32");
-        let pad = pad_to.saturating_sub(nc.len());
-        let (&last_cut, &last_target) = (
-            nc.last().expect("no empty nodes"),
-            nt.last().expect("no empty nodes"),
-        );
-        self.cuts.extend_from_slice(nc);
-        self.targets.extend_from_slice(nt);
-        self.cuts.extend(std::iter::repeat_n(last_cut, pad));
-        self.targets.extend(std::iter::repeat_n(last_target, pad));
-        self.nodes.push(KNode { field, off, len });
-    }
-
     /// Mirrors the canonical arenas into uniform search-only form. Assumes
-    /// structurally valid input (the constructors validate before calling).
+    /// structurally valid input: `compile` builds what it just lowered, and
+    /// `decode` builds only after `validate_structure` accepts the image.
     pub(crate) fn build(
         nodes: &[NodeDesc],
         cuts: &[u64],
         cut_targets: &[u32],
         jump: &[u32],
     ) -> LaneArena {
-        // Mirror pass: every node as (sorted cuts, parallel targets).
+        // Mirror pass: every node as (field, sorted cuts, parallel
+        // targets), unpadded. Terminals become one-cut self-loops; jump
+        // tables are run-length-encoded back into the cut convention.
         let mut mirrored: Vec<(u32, Vec<u64>, Vec<u32>)> = Vec::with_capacity(nodes.len());
         let mut max_len = 1usize;
         for (i, n) in nodes.iter().enumerate() {
-            let (field, nc, nt) = LaneArena::mirror_node(i, n, cuts, cut_targets, jump);
+            let (field, nc, nt) = match n.kind {
+                KIND_TERMINAL => (
+                    0,
+                    vec![u64::MAX],
+                    vec![u32::try_from(i).expect("arena indexed by u32")],
+                ),
+                KIND_JUMP => {
+                    // Undo the dense expansion: one cut per constant run of
+                    // the table, upper bound = the run's last domain value.
+                    let table = &jump[n.off as usize..(n.off + n.len) as usize];
+                    let (mut nc, mut nt) = (Vec::new(), Vec::new());
+                    let mut v = 0usize;
+                    while v < table.len() {
+                        let t = table[v];
+                        while v + 1 < table.len() && table[v + 1] == t {
+                            v += 1;
+                        }
+                        nc.push(v as u64);
+                        nt.push(t);
+                        v += 1;
+                    }
+                    (u32::from(n.field), nc, nt)
+                }
+                _ => {
+                    let (o, l) = (n.off as usize, n.len as usize);
+                    (
+                        u32::from(n.field),
+                        cuts[o..o + l].to_vec(),
+                        cut_targets[o..o + l].to_vec(),
+                    )
+                }
+            };
             max_len = max_len.max(nc.len());
             mirrored.push((field, nc, nt));
         }
 
-        // Layout pass: concatenate, padding to `1 << bits` per node while
-        // the multiplier is affordable so probes never clamp.
+        // Layout pass: concatenate, padding every node to `1 << bits` cuts
+        // while the multiplier is affordable (repeating the final
+        // domain-max cut and its target, so a probe can land anywhere in
+        // the pad and resolve identically); unpadded beyond that.
         let bits = usize::BITS - max_len.leading_zeros();
-        let pad_to = LaneArena::pad_to(bits);
+        let pad_to = if bits <= PAD_MAX_BITS {
+            1usize << bits
+        } else {
+            0
+        };
         let mut arena = LaneArena {
             bits,
             ..LaneArena::default()
         };
         for (field, nc, nt) in mirrored {
-            arena.push_node(field, &nc, &nt, pad_to);
+            let off = u32::try_from(arena.cuts.len()).expect("mirror arenas within u32");
+            let len = u32::try_from(nc.len()).expect("node cuts within u32");
+            let pad = pad_to.saturating_sub(nc.len());
+            let (&last_cut, &last_target) = (
+                nc.last().expect("no empty nodes"),
+                nt.last().expect("no empty nodes"),
+            );
+            arena.cuts.extend_from_slice(&nc);
+            arena.targets.extend_from_slice(&nt);
+            arena.cuts.extend(std::iter::repeat_n(last_cut, pad));
+            arena.targets.extend(std::iter::repeat_n(last_target, pad));
+            arena.nodes.push(KNode { field, off, len });
         }
         arena
     }
 
-    /// Bytes of the mirrored arena — the ground truth
-    /// [`LaneArena::projected_bytes`] is tested against. Stats use the
-    /// projection so they never force (or depend on) the lazy build.
-    #[cfg(test)]
+    /// Bytes of the mirrored arena, as [`crate::CompileStats::lane_arena_bytes`]
+    /// reports them.
     pub(crate) fn bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<KNode>()
             + self.cuts.len() * 8
             + self.targets.len() * 4
-    }
-
-    /// Bytes [`LaneArena::build`] over these canonical arenas *would*
-    /// occupy, computed without building (one streaming shape scan, no
-    /// allocation). Stats use this so a lazily-mirrored image reports the
-    /// same `lane_arena_bytes` as an eagerly-mirrored one.
-    pub(crate) fn projected_bytes(nodes: &[NodeDesc], jump: &[u32]) -> usize {
-        let mut max_len = 1usize;
-        let mut total = 0usize;
-        for n in nodes {
-            // Mirrored cut count per node, mirroring `mirror_node`'s
-            // shapes: terminals one self-loop cut, jump tables one cut per
-            // constant run, search nodes their own cut count.
-            let len = match n.kind {
-                KIND_TERMINAL => 1,
-                KIND_JUMP => {
-                    let table = &jump[n.off as usize..(n.off + n.len) as usize];
-                    let mut runs = 0usize;
-                    let mut prev = None;
-                    for &t in table {
-                        if prev != Some(t) {
-                            runs += 1;
-                            prev = Some(t);
-                        }
-                    }
-                    runs
-                }
-                _ => n.len as usize,
-            };
-            max_len = max_len.max(len);
-            total += len;
-        }
-        let bits = usize::BITS - max_len.leading_zeros();
-        let pad_to = LaneArena::pad_to(bits);
-        let slots = if pad_to > 0 {
-            nodes.len() * pad_to
-        } else {
-            total
-        };
-        nodes.len() * std::mem::size_of::<KNode>() + slots * 12
     }
 }
 
@@ -351,7 +282,7 @@ impl CompiledFdd {
         out.clear();
         out.resize(batch.len(), Decision::Discard);
         self.lanes_span::<false>(
-            self.lane_arena(),
+            &self.lanes,
             batch.columns_raw(),
             0,
             lane_width,
@@ -368,8 +299,7 @@ impl CompiledFdd {
     /// matching disjoint slice of the output buffer, which is what makes
     /// the merged result byte-identical to serial by construction.
     ///
-    /// `arena` is the forced lane mirror (callers resolve
-    /// [`CompiledFdd::lane_arena`] once, outside any worker); the `PF`
+    /// `arena` is the image's lane mirror (`&self.lanes`); the `PF`
     /// parameter selects the forced-load chunk variant. Assumes validated
     /// inputs.
     pub(crate) fn lanes_span<const PF: bool>(
@@ -560,7 +490,7 @@ mod tests {
                 // decisions (it only adds forced loads).
                 let mut pf_out = vec![Decision::Discard; n];
                 compiled.lanes_span::<true>(
-                    compiled.lane_arena(),
+                    &compiled.lanes,
                     batch.columns_raw(),
                     0,
                     width,
@@ -578,7 +508,7 @@ mod tests {
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
         let batch = batch_of(&fw, 97, 13);
         let expect = compiled.classify_columns(&batch).unwrap();
-        let arena = compiled.lane_arena();
+        let arena = &compiled.lanes;
         let mut state = Vec::new();
         // Stitch the batch from unaligned disjoint spans, exactly as the
         // parallel driver does.
@@ -622,7 +552,7 @@ mod tests {
     fn mirror_arena_is_search_only_and_self_consistent() {
         let fw = fw_synth::Synthesizer::new(3).firewall(30);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        let arena = compiled.lane_arena();
+        let arena = &compiled.lanes;
         assert_eq!(arena.nodes.len(), compiled.nodes.len());
         assert_eq!(arena.cuts.len(), arena.targets.len());
         assert!(arena.bits >= 1);
@@ -644,24 +574,5 @@ mod tests {
                 assert_eq!((real, arena.targets[off]), (&[u64::MAX][..], i as u32));
             }
         }
-    }
-
-    #[test]
-    fn projected_bytes_match_built_bytes() {
-        for seed in [3u64, 8, 77] {
-            let fw = fw_synth::Synthesizer::new(seed).firewall(30);
-            let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-            assert_eq!(
-                LaneArena::projected_bytes(&compiled.nodes, &compiled.jump),
-                compiled.lane_arena().bytes(),
-                "seed {seed}"
-            );
-        }
-        let fw = paper::team_a();
-        let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        assert_eq!(
-            LaneArena::projected_bytes(&compiled.nodes, &compiled.jump),
-            compiled.lane_arena().bytes()
-        );
     }
 }

@@ -28,20 +28,19 @@
 //!   little-endian wire format in the same `bytes` conventions as
 //!   `fw_synth::PacketTrace`, so a compiled policy can be shipped to the
 //!   box that serves it;
-//! * [`CompiledFdd::recompile`] — incremental recompilation: given the
-//!   post-edit FDD and the edit's `fw_core::ChangeImpact`, re-lower only
-//!   the changed subtrees and block-copy every untouched arena and
-//!   lane-mirror slice from the old image (see `recompile.rs`);
 //! * [`LiveMatcher`] — online serving: the policy plus its image behind an
 //!   atomically swapped `Arc`, where [`LiveMatcher::apply_edits`] runs the
-//!   edit→impact→incremental-recompile pipeline and in-flight snapshots
-//!   finish on the image they started with. The policy side is a
+//!   edit→impact→compile pipeline and in-flight snapshots finish on the
+//!   image they started with. The policy side is a
 //!   [`fw_core::MaintainedFdd`], so the impact and the post-edit diagram
 //!   both come from patching the maintained suffix chain along the edited
-//!   corridor rather than rebuilding from the rule list (see `live.rs`);
+//!   corridor rather than rebuilding from the rule list; the patched
+//!   diagram is lowered by [`CompiledFdd::compile`] like any other (see
+//!   `live.rs`). [`CompiledFdd::recompile`] names that same compile for
+//!   edit pipelines that hold the old image;
 //! * [`CompileStats`] / [`RecompileStats`] — node/arena/depth accounting in
-//!   the style of `fw_core::FddStats`, plus the shared-vs-fresh split of an
-//!   incremental swap;
+//!   the style of `fw_core::FddStats`, and the node count of an edit's
+//!   freshly compiled image;
 //! * [`calibrate`] / [`CompiledFdd::classify_auto`] — the one place an
 //!   engine is picked for a single image: a short race of the FDD walk,
 //!   the lane kernel at each width × thread count, the specialized twin

@@ -4,8 +4,8 @@
 //! compiled image behind an [`Arc`]: readers take a cheap clone of the
 //! current pointer ([`LiveMatcher::load`]) and classify against that
 //! snapshot for as long as they like; an edit builds the next image off to
-//! the side (incrementally, via [`CompiledFdd::recompile`]) and swaps the
-//! pointer when it is ready. In-flight `classify`/`classify_lanes` calls
+//! the side ([`CompiledFdd::compile`] of the post-edit diagram) and swaps
+//! the pointer when it is ready. In-flight `classify`/`classify_lanes` calls
 //! finish on the image they started with — a swap never invalidates a
 //! snapshot, it only stops handing it out.
 //!
@@ -14,7 +14,7 @@
 //! readers hold the read lock only for the nanoseconds of an `Arc` clone
 //! (never during classification), and the single writer holds the write
 //! lock only for the store. Writers serialize on the policy mutex for the
-//! whole edit→impact→recompile pipeline, so concurrent edit batches apply
+//! whole edit→impact→compile pipeline, so concurrent edit batches apply
 //! in a definite order; the [`epoch`](LiveMatcher::epoch) counter ticks
 //! once per published image for cheap change detection.
 //!
@@ -25,13 +25,13 @@
 //! winner, and [`LiveMatcher::classify_auto_into`] serves each batch
 //! through that choice against one coherent snapshot.
 //!
-//! The write path is incremental end to end: the matcher keeps the
+//! The write path never rebuilds from the rule list: the matcher keeps the
 //! policy's FDD **maintained** between edits ([`MaintainedFdd`] — the
 //! hash-consed suffix chain of fw-core), so an edit batch patches the
 //! edited corridor of the diagram, short-circuit diffs it against the
 //! previous root for the impact report, exports the patched FDD, and
-//! splices it into the served image via [`CompiledFdd::recompile`].
-//! Nothing in the pipeline rebuilds from the rule list.
+//! lowers that with [`CompiledFdd::compile`] — one linear pass, the same
+//! lowering every other image goes through.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -46,8 +46,8 @@ use crate::specialize::SpecializePlan;
 use crate::{CompiledFdd, ExecError, PacketBatch, RecompileStats};
 
 /// A served firewall: the authoritative policy plus the hot-swappable
-/// compiled image, with edits applied through change-impact analysis and
-/// incremental recompilation.
+/// compiled image, with edits applied through change-impact analysis on
+/// a maintained FDD and a compile of the patched diagram.
 ///
 /// # Example
 ///
@@ -156,8 +156,7 @@ pub struct SwapReport {
     /// The maintenance layer's receipt: which [`fw_core::BatchPlan`] the
     /// coalesced batch sweep ran and its corridor geometry.
     pub maintain: MaintainStats,
-    /// The incremental recompile's shared/fresh accounting (`None` for a
-    /// no-op batch).
+    /// The compile of the post-edit diagram (`None` for a no-op batch).
     pub recompile: Option<RecompileStats>,
     /// The decision cache's invalidation receipt (`None` when no cache is
     /// enabled or the batch was a no-op — a no-op changes no decision, so
@@ -168,7 +167,8 @@ pub struct SwapReport {
 impl LiveMatcher {
     /// Compiles `policy`, builds its maintained FDD, and starts serving at
     /// epoch 0. Construction pays for the full suffix chain once so that
-    /// every later [`apply_edits`](Self::apply_edits) is incremental.
+    /// every later [`apply_edits`](Self::apply_edits) patches it instead of
+    /// rebuilding from the rule list.
     ///
     /// # Errors
     ///
@@ -480,10 +480,10 @@ impl LiveMatcher {
 
     /// Applies an edit batch: patch the maintained FDD along the edited
     /// corridor, short-circuit diff it against the pre-edit root for the
-    /// impact, export the patched diagram, incrementally recompile against
-    /// the current image, atomic swap. A no-op batch (every packet decides
-    /// as before) updates the stored policy text but publishes nothing —
-    /// the served image is already correct.
+    /// impact, export the patched diagram, compile it, atomic swap. A
+    /// no-op batch (every packet decides as before) updates the stored
+    /// policy text but publishes nothing — the served image is already
+    /// correct.
     ///
     /// Writers serialize: concurrent calls apply in mutex order, each
     /// against the policy the previous one left. Readers are never blocked
@@ -509,9 +509,11 @@ impl LiveMatcher {
             });
         }
         let fdd = policy.to_fdd()?;
-        let current = self.load();
-        let (next, stats) = current.recompile(&fdd, &impact)?;
-        // A spliced image starts cold (no profile, no specialized twin);
+        let next = CompiledFdd::compile(&fdd)?;
+        let stats = RecompileStats {
+            nodes_fresh: next.node_count(),
+        };
+        // A compiled image starts cold (no profile, no specialized twin);
         // re-arm its profiler before publishing so specialization keeps
         // learning across the swap without a serving-path gap.
         if self.spec.enabled.load(Ordering::Acquire) {
@@ -810,7 +812,7 @@ mod tests {
             .unwrap();
         assert_eq!(out, expect, "serving after re-specialization agrees");
 
-        // Edit swap: the spliced image has no twin yet, but its profiler
+        // Edit swap: the published image has no twin yet, but its profiler
         // is re-armed and serving stays exact (a `spec` choice degrades).
         let flip = fw.rules()[0].with_decision(fw.rules()[0].decision().inverted());
         let report = live
@@ -821,7 +823,7 @@ mod tests {
             .unwrap();
         assert!(report.swapped);
         let image = live.load();
-        assert!(image.spec().is_none(), "a spliced image starts cold");
+        assert!(image.spec().is_none(), "a published image starts cold");
         assert!(image.profiler_armed(), "profiler re-armed across the swap");
         live.classify_auto_into(&batch, &mut scratch, &mut out)
             .unwrap();

@@ -1,617 +1,47 @@
-//! Incremental recompilation: splice a post-edit FDD into an existing
-//! compiled image, re-lowering only what the edit actually changed.
+//! Recompilation after an edit: lower the post-edit diagram afresh.
 //!
-//! A policy edit's impact is a set of packet regions ([`ChangeImpact`],
-//! paper §1.3); everything outside those regions decides exactly as before.
-//! Lowering is the act of turning FDD nodes into arena slices, so the
-//! waste in calling [`CompiledFdd::from_firewall`] after a one-rule edit is
-//! re-lowering the (typically vast) clean part of the diagram.
-//!
-//! [`CompiledFdd::recompile`] avoids that with a paired walk of the *old
-//! arena* and the *new FDD*. Each visited pair `(o, n)` carries the path
-//! region that leads to it — the conjunction of the spans taken from the
-//! root. Two rules decide reuse:
-//!
-//! 1. **Region disjointness.** If the pair's path region intersects no
-//!    changed region of the [`ChangeImpact`], the functions computed by
-//!    `o`'s subtree and `n`'s subtree agree on every packet that can reach
-//!    them, so `o`'s already-lowered subtree is kept verbatim (its cut/jump
-//!    slices and padded lane-mirror slices are block-copied with targets
-//!    renumbered — no per-span re-lowering, no partition re-verification,
-//!    no jump-table re-expansion).
-//! 2. **Structural agreement.** Where the region does overlap a change, the
-//!    walk descends: same field, identical span boundaries → recurse per
-//!    span with the narrowed region; terminals compare decision codes. A
-//!    pair that survives the descent is equally reusable.
-//!
-//! Everything else — the dirty BFS-contiguous region of the new diagram —
-//! is lowered freshly through the same `sorted_spans`/`emit_internal` path
-//! full compilation uses, and the pieces are emitted in BFS order into a
-//! fresh image (ids renumbered, level metadata recomputed), so the spliced
-//! image satisfies every invariant [`CompiledFdd::validate_structure`]
-//! checks, indistinguishable from a full compile to every classify engine.
-//!
-//! Reuse granularity is the subtree, and a node reachable both from a
-//! reused subtree and (by value) from a fresh one is emitted once per role;
-//! the handful of duplicated terminals this can cost is irrelevant next to
-//! not walking the clean 99% of a large policy's diagram.
+//! The paper's change-impact analysis (§1.3) confines an edit to its
+//! changed regions, and [`fw_core::MaintainedFdd`] already applies it where
+//! it pays: patching the diagram along the edited corridor instead of
+//! rebuilding it from the rule list. Lowering the patched diagram is then
+//! one linear pass over its nodes, so there is exactly one way to produce
+//! an image — [`CompiledFdd::compile`] — and [`CompiledFdd::recompile`] is
+//! that call under the name edit pipelines have always used.
 
-use std::collections::VecDeque;
-
-use fw_core::{ChangeImpact, Discrepancy, Fdd, FxMap, NodeId, NodeView};
-use fw_model::{FieldId, Interval, IntervalSet, Predicate};
+use fw_core::{ChangeImpact, Fdd};
 use serde::{Deserialize, Serialize};
 
-use crate::compile::{
-    build_level_starts, emit_internal, sorted_spans, CompileStats, NodeDesc, KIND_JUMP,
-    KIND_SEARCH, KIND_TERMINAL,
-};
-use crate::kernel::{KNode, LaneArena};
 use crate::{CompiledFdd, ExecError};
 
-/// A freshly mirrored lane node, as produced by [`LaneArena::mirror_node`]:
-/// the field column it reads plus its unpadded cut and target slices.
-type Mirror = (u32, Vec<u64>, Vec<u32>);
-
-/// Accounting for one incremental recompile: how much of the new image was
-/// carried over from the old one versus lowered fresh.
-///
-/// "Shared" bytes are block-copied from the old image without re-lowering
-/// (the splice's saving); "fresh" bytes went through the full per-node
-/// lowering path. The two sum to the new image's descriptor + cut + jump +
-/// lane-mirror storage.
+/// Accounting for one recompile.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecompileStats {
-    /// Total nodes in the spliced image.
-    pub nodes: usize,
-    /// Nodes reused from the old image (subtree roots and their interiors).
-    pub nodes_shared: usize,
-    /// Nodes lowered fresh from the post-edit FDD.
+    /// Nodes lowered for the new image — all of them.
     pub nodes_fresh: usize,
-    /// Bytes copied verbatim from the old image (descriptors, cut/jump
-    /// slices, padded lane-mirror slices of reused nodes).
-    pub bytes_shared: usize,
-    /// Bytes lowered fresh.
-    pub bytes_fresh: usize,
-    /// Whether the lane mirror's padding width changed, forcing a full
-    /// mirror rebuild instead of the slice-copy splice.
-    pub lane_arena_rebuilt: bool,
-}
-
-/// Where one node of the spliced image comes from.
-enum Source {
-    /// Reused: old arena node, slices copied with targets renumbered.
-    Old(u32),
-    /// Fresh terminal carrying a decision wire code.
-    Terminal(u16),
-    /// Fresh internal node: verified domain-partition spans with already
-    /// renumbered targets, ready for `emit_internal`.
-    Internal {
-        field: FieldId,
-        spans: Vec<(u64, u64, u32)>,
-    },
-}
-
-/// One unit of the paired BFS discovery walk.
-enum Work {
-    /// Enumerate a reused old subtree's children.
-    Old { old: u32, id: u32 },
-    /// Lower a new FDD node, pairing its children against `cand`'s spans.
-    New {
-        node: NodeId,
-        id: u32,
-        region: Predicate,
-        cand: Option<u32>,
-    },
-}
-
-/// State of one splice: the match memo plus the BFS discovery bookkeeping.
-struct Splicer<'a> {
-    old: &'a CompiledFdd,
-    fdd: &'a Fdd,
-    dirty: &'a [Discrepancy],
-    /// Match verdicts per (old arena id, new FDD node). A verdict is
-    /// region-independent (see `matches`), so first-discovery memoisation
-    /// is sound.
-    memo: FxMap<(u32, NodeId), bool>,
-    /// Per new-image id: where the node comes from (filled at dequeue).
-    sources: Vec<Option<Source>>,
-    /// Per new-image id: BFS level (assigned at first discovery).
-    levels: Vec<u8>,
-    old_ids: FxMap<u32, u32>,
-    new_ids: FxMap<NodeId, u32>,
-    queue: VecDeque<Work>,
-}
-
-impl<'a> Splicer<'a> {
-    /// Whether old node `o` and new node `n` decide every packet of
-    /// `region` (their shared path region) identically — in which case
-    /// `o`'s lowered subtree serves for `n` verbatim.
-    ///
-    /// `true` is absolute: either the region avoids every changed region
-    /// (the before/after functions agree on all of it), or the subtrees
-    /// agree structurally on the whole remaining domain. Both verdicts are
-    /// independent of *which* path region led here, so the memo ignores it.
-    fn matches(&mut self, o: u32, n: NodeId, region: &Predicate) -> bool {
-        if let Some(&v) = self.memo.get(&(o, n)) {
-            return v;
-        }
-        let v = self.check(o, n, region);
-        self.memo.insert((o, n), v);
-        v
-    }
-
-    fn check(&mut self, o: u32, n: NodeId, region: &Predicate) -> bool {
-        // Hyper-rectangles are disjoint iff they are disjoint on some
-        // field; test that in place rather than materializing the
-        // intersection predicate just to see it come up empty.
-        if self.dirty.iter().all(|d| {
-            region
-                .sets()
-                .iter()
-                .zip(d.predicate().sets())
-                .any(|(r, s)| !r.intersects(s))
-        }) {
-            return true;
-        }
-        let on = self.old.nodes[o as usize];
-        match (on.kind, self.fdd.view(n)) {
-            (KIND_TERMINAL, NodeView::Terminal(d)) => on.field == u16::from(d.code()),
-            (KIND_TERMINAL, _) | (_, NodeView::Terminal(_)) => false,
-            (_, NodeView::Internal { field, edges }) => {
-                if usize::from(on.field) != field.index() {
-                    return false;
-                }
-                let os = old_spans(self.old, o);
-                let Ok(ns) = sorted_spans(self.fdd.schema(), n, field, edges, |t| t) else {
-                    return false;
-                };
-                if os.len() != ns.len() {
-                    return false;
-                }
-                os.iter()
-                    .zip(&ns)
-                    .all(|(&(alo, ahi, at), &(blo, bhi, bt))| {
-                        alo == blo && ahi == bhi && {
-                            let sub = span_region(region, field, alo, ahi);
-                            self.matches(at, bt, &sub)
-                        }
-                    })
-            }
-        }
-    }
-
-    /// Interns an old arena node for reuse, enqueueing it on first sight.
-    fn intern_old(&mut self, o: u32, level: u8) -> Result<u32, ExecError> {
-        if let Some(&id) = self.old_ids.get(&o) {
-            return Ok(id);
-        }
-        let id = self.fresh_id(level)?;
-        self.old_ids.insert(o, id);
-        self.queue.push_back(Work::Old { old: o, id });
-        Ok(id)
-    }
-
-    /// Interns a new FDD node for fresh lowering, enqueueing it on first
-    /// sight (later discoveries reuse the first id; region and candidate
-    /// only matter for the children walk, which happens once).
-    fn intern_new(
-        &mut self,
-        node: NodeId,
-        level: u8,
-        region: Predicate,
-        cand: Option<u32>,
-    ) -> Result<u32, ExecError> {
-        if let Some(&id) = self.new_ids.get(&node) {
-            return Ok(id);
-        }
-        let id = self.fresh_id(level)?;
-        self.new_ids.insert(node, id);
-        self.queue.push_back(Work::New {
-            node,
-            id,
-            region,
-            cand,
-        });
-        Ok(id)
-    }
-
-    fn fresh_id(&mut self, level: u8) -> Result<u32, ExecError> {
-        let id = u32::try_from(self.sources.len())
-            .map_err(|_| ExecError::Invariant("diagram exceeds u32 node indices".into()))?;
-        self.sources.push(None);
-        self.levels.push(level);
-        Ok(id)
-    }
-
-    /// Runs the discovery BFS to completion: every reachable node of the
-    /// new image gets an id, a level, and a [`Source`].
-    fn discover(&mut self) -> Result<(), ExecError> {
-        while let Some(work) = self.queue.pop_front() {
-            match work {
-                Work::Old { old, id } => self.visit_old(old, id)?,
-                Work::New {
-                    node,
-                    id,
-                    region,
-                    cand,
-                } => self.visit_new(node, id, &region, cand)?,
-            }
-        }
-        Ok(())
-    }
-
-    fn child_level(&self, id: u32) -> Result<u8, ExecError> {
-        self.levels[id as usize]
-            .checked_add(1)
-            .ok_or_else(|| ExecError::Invariant("diagram exceeds 255 BFS levels".into()))
-    }
-
-    fn visit_old(&mut self, old: u32, id: u32) -> Result<(), ExecError> {
-        let on = self.old.nodes[old as usize];
-        if on.kind != KIND_TERMINAL {
-            let level = self.child_level(id)?;
-            let (off, len) = (on.off as usize, on.len as usize);
-            let img = self.old;
-            let targets = if on.kind == KIND_JUMP {
-                &img.jump[off..off + len]
-            } else {
-                &img.cut_targets[off..off + len]
-            };
-            for &t in targets {
-                self.intern_old(t, level)?;
-            }
-        }
-        self.sources[id as usize] = Some(Source::Old(old));
-        Ok(())
-    }
-
-    fn visit_new(
-        &mut self,
-        node: NodeId,
-        id: u32,
-        region: &Predicate,
-        cand: Option<u32>,
-    ) -> Result<(), ExecError> {
-        let source = match self.fdd.view(node) {
-            NodeView::Terminal(d) => Source::Terminal(u16::from(d.code())),
-            NodeView::Internal { field, edges } => {
-                let level = self.child_level(id)?;
-                let spans = sorted_spans(self.fdd.schema(), node, field, edges, |t| t)?;
-                // The old candidate's spans, for pairing children: only an
-                // internal old node on the same field can cover them.
-                let cand_spans = cand
-                    .filter(|&oc| {
-                        let on = self.old.nodes[oc as usize];
-                        on.kind != KIND_TERMINAL && usize::from(on.field) == field.index()
-                    })
-                    .map(|oc| old_spans(self.old, oc));
-                let mut resolved = Vec::with_capacity(spans.len());
-                for (lo, hi, child) in spans {
-                    let child_region = span_region(region, field, lo, hi);
-                    // The unique old span containing `lo`; it covers the
-                    // whole child span only if both partitions cut here.
-                    let covering = cand_spans.as_ref().and_then(|os| {
-                        let i = os.partition_point(|s| s.0 <= lo) - 1;
-                        (os[i].1 >= hi).then_some(os[i].2)
-                    });
-                    let child_id = match covering {
-                        Some(ot) if self.matches(ot, child, &child_region) => {
-                            self.intern_old(ot, level)?
-                        }
-                        _ => self.intern_new(child, level, child_region, covering)?,
-                    };
-                    resolved.push((lo, hi, child_id));
-                }
-                Source::Internal {
-                    field,
-                    spans: resolved,
-                }
-            }
-        };
-        self.sources[id as usize] = Some(source);
-        Ok(())
-    }
-}
-
-/// The sorted `(lo, hi, target)` domain partition of an old internal node,
-/// recovered from its arena form: cut upper bounds for search nodes, maximal
-/// constant runs for jump tables (the same run-length decoding the lane
-/// mirror uses).
-fn old_spans(img: &CompiledFdd, o: u32) -> Vec<(u64, u64, u32)> {
-    let n = img.nodes[o as usize];
-    let (off, len) = (n.off as usize, n.len as usize);
-    let mut spans = Vec::new();
-    if n.kind == KIND_JUMP {
-        let table = &img.jump[off..off + len];
-        let mut v = 0usize;
-        while v < table.len() {
-            let t = table[v];
-            let lo = v as u64;
-            while v + 1 < table.len() && table[v + 1] == t {
-                v += 1;
-            }
-            spans.push((lo, v as u64, t));
-            v += 1;
-        }
-    } else {
-        let mut lo = 0u64;
-        for i in 0..len {
-            let hi = img.cuts[off + i];
-            spans.push((lo, hi, img.cut_targets[off + i]));
-            lo = hi.wrapping_add(1); // last cut is the domain max; unused
-        }
-    }
-    spans
-}
-
-/// Narrows a path region by one tested span: the FDD is ordered, so
-/// `field` is unconstrained in `region` and replacing its set *is* the
-/// intersection.
-fn span_region(region: &Predicate, field: FieldId, lo: u64, hi: u64) -> Predicate {
-    region
-        .with_field(
-            field,
-            IntervalSet::from_interval(Interval::new(lo, hi).expect("verified span")),
-        )
-        .expect("span lies within the field domain")
 }
 
 impl CompiledFdd {
-    /// Incrementally recompiles this image against the post-edit diagram:
-    /// subtrees untouched by `impact` are block-copied from this image
-    /// (cuts, jump tables and padded lane-mirror slices alike, targets
-    /// renumbered); only the changed region of `fdd` is lowered fresh. The
-    /// result classifies identically to `CompiledFdd::compile(fdd)` and
-    /// satisfies the same structural invariants — see the module docs for
-    /// the reuse rules and [`RecompileStats`] for the shared/fresh split.
+    /// Compiles the post-edit diagram `fdd` into a new image, returning it
+    /// with its [`RecompileStats`].
     ///
-    /// `fdd` is the diagram of the policy *after* the change (typically
-    /// `Fdd::from_firewall_fast(&after)?.reduced()` for the `after` policy
-    /// [`ChangeImpact::of_edits`] returns), and `impact` the analysis of
-    /// that same change; pairing an impact with an unrelated diagram yields
-    /// an image faithful to `fdd` only where the impact is honest about
-    /// what changed. When `impact` [`is_noop`](ChangeImpact::is_noop), the
-    /// image is reused wholesale.
+    /// This is [`CompiledFdd::compile`]: it reads neither this image nor
+    /// `impact`, and the result is the image a fresh compile of `fdd`
+    /// produces (cold — no profile, no specialized twin). The signature is
+    /// kept so an edit pipeline can say what it is recompiling from.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecError::Invariant`] if `fdd` is over a different schema,
-    /// violates the FDD partition invariants, or exceeds the arena's index
-    /// and level budgets (as for [`CompiledFdd::compile`]).
+    /// As for [`CompiledFdd::compile`].
     pub fn recompile(
         &self,
         fdd: &Fdd,
-        impact: &ChangeImpact,
+        _impact: &ChangeImpact,
     ) -> Result<(CompiledFdd, RecompileStats), ExecError> {
-        if fdd.schema() != &self.schema {
-            return Err(ExecError::Invariant(
-                "post-edit diagram is over a different schema".into(),
-            ));
-        }
-        let mut sp = Splicer {
-            old: self,
-            fdd,
-            dirty: impact.discrepancies(),
-            memo: FxMap::default(),
-            sources: Vec::new(),
-            levels: Vec::new(),
-            old_ids: FxMap::default(),
-            new_ids: FxMap::default(),
-            queue: VecDeque::new(),
+        let next = CompiledFdd::compile(fdd)?;
+        let stats = RecompileStats {
+            nodes_fresh: next.node_count(),
         };
-
-        // Whole-image fast path: if the root pair matches on the full
-        // domain (always true for a no-op impact), the old image *is* the
-        // new image.
-        let everything = Predicate::any(&self.schema);
-        if sp.matches(self.root, fdd.root(), &everything) {
-            let s = self.stats.clone();
-            return Ok((
-                self.clone(),
-                RecompileStats {
-                    nodes: s.nodes,
-                    nodes_shared: s.nodes,
-                    bytes_shared: s.arena_bytes - self.level_starts.len() * 4,
-                    ..RecompileStats::default()
-                },
-            ));
-        }
-
-        sp.intern_new(fdd.root(), 0, everything, Some(self.root))?;
-        sp.discover()?;
-        let Splicer {
-            sources,
-            levels,
-            old_ids,
-            ..
-        } = sp;
-        let sources: Vec<Source> = sources
-            .into_iter()
-            .map(|s| s.expect("discovery visits every interned node"))
-            .collect();
-
-        // Emission in discovery (BFS) order: reused nodes copy their old
-        // slices with targets renumbered through `old_ids`; fresh nodes go
-        // through the same emit path as full compilation.
-        let mut stats = RecompileStats::default();
-        let mut nodes: Vec<NodeDesc> = Vec::with_capacity(sources.len());
-        let mut cuts: Vec<u64> = Vec::new();
-        let mut cut_targets: Vec<u32> = Vec::new();
-        let mut jump: Vec<u32> = Vec::new();
-        let desc_bytes = std::mem::size_of::<NodeDesc>();
-        for (id, src) in sources.iter().enumerate() {
-            let level = levels[id];
-            match src {
-                Source::Old(o) => {
-                    let on = self.nodes[*o as usize];
-                    let (off, len) = (on.off as usize, on.len as usize);
-                    let desc = match on.kind {
-                        KIND_TERMINAL => NodeDesc {
-                            kind: KIND_TERMINAL,
-                            level,
-                            field: on.field,
-                            off: 0,
-                            len: 0,
-                        },
-                        KIND_JUMP => {
-                            let new_off = u32::try_from(jump.len()).map_err(|_| {
-                                ExecError::Invariant("jump arena exceeds u32 indices".into())
-                            })?;
-                            jump.extend(self.jump[off..off + len].iter().map(|t| old_ids[t]));
-                            stats.bytes_shared += len * 4;
-                            NodeDesc {
-                                kind: KIND_JUMP,
-                                level,
-                                field: on.field,
-                                off: new_off,
-                                len: on.len,
-                            }
-                        }
-                        _ => {
-                            let new_off = u32::try_from(cuts.len()).map_err(|_| {
-                                ExecError::Invariant("cut arena exceeds u32 indices".into())
-                            })?;
-                            cuts.extend_from_slice(&self.cuts[off..off + len]);
-                            cut_targets.extend(
-                                self.cut_targets[off..off + len].iter().map(|t| old_ids[t]),
-                            );
-                            stats.bytes_shared += len * 12;
-                            NodeDesc {
-                                kind: KIND_SEARCH,
-                                level,
-                                field: on.field,
-                                off: new_off,
-                                len: on.len,
-                            }
-                        }
-                    };
-                    stats.nodes_shared += 1;
-                    stats.bytes_shared += desc_bytes;
-                    nodes.push(desc);
-                }
-                Source::Terminal(code) => {
-                    stats.nodes_fresh += 1;
-                    stats.bytes_fresh += desc_bytes;
-                    nodes.push(NodeDesc {
-                        kind: KIND_TERMINAL,
-                        level,
-                        field: *code,
-                        off: 0,
-                        len: 0,
-                    });
-                }
-                Source::Internal { field, spans } => {
-                    let before = (cuts.len(), jump.len());
-                    let desc = emit_internal(
-                        &self.schema,
-                        *field,
-                        level,
-                        spans,
-                        &mut cuts,
-                        &mut cut_targets,
-                        &mut jump,
-                    )?;
-                    stats.nodes_fresh += 1;
-                    stats.bytes_fresh +=
-                        desc_bytes + (cuts.len() - before.0) * 12 + (jump.len() - before.1) * 4;
-                    nodes.push(desc);
-                }
-            }
-        }
-        stats.nodes = nodes.len();
-
-        // Lane-mirror splice: reused nodes copy their padded slice (targets
-        // renumbered), fresh nodes are mirrored individually. Only possible
-        // while the arena-wide padding width is unchanged; a new widest
-        // node (or a narrower new maximum) forces a rebuild. The old
-        // mirror is forced here if a decode left it lazy — the splice
-        // copies its slices either way.
-        let old_lanes = self.lane_arena();
-        let knode_bytes = std::mem::size_of::<KNode>();
-        let mut fresh_mirrors: Vec<Option<Mirror>> = Vec::new();
-        let mut max_len = 1usize;
-        for (id, src) in sources.iter().enumerate() {
-            fresh_mirrors.push(match src {
-                Source::Old(o) => {
-                    max_len = max_len.max(old_lanes.nodes[*o as usize].len as usize);
-                    None
-                }
-                _ => {
-                    let m = LaneArena::mirror_node(id, &nodes[id], &cuts, &cut_targets, &jump);
-                    max_len = max_len.max(m.1.len());
-                    Some(m)
-                }
-            });
-        }
-        let bits = usize::BITS - max_len.leading_zeros();
-        let lanes = if bits == old_lanes.bits {
-            let pad_to = LaneArena::pad_to(bits);
-            let mut arena = LaneArena {
-                bits,
-                ..LaneArena::default()
-            };
-            for (src, mirror) in sources.iter().zip(fresh_mirrors) {
-                match (src, mirror) {
-                    (Source::Old(o), _) => {
-                        let kn = old_lanes.nodes[*o as usize];
-                        let off = kn.off as usize;
-                        let slice = if pad_to > 0 { pad_to } else { kn.len as usize };
-                        let new_off =
-                            u32::try_from(arena.cuts.len()).expect("mirror arenas within u32");
-                        arena
-                            .cuts
-                            .extend_from_slice(&old_lanes.cuts[off..off + slice]);
-                        arena.targets.extend(
-                            old_lanes.targets[off..off + slice]
-                                .iter()
-                                .map(|t| old_ids[t]),
-                        );
-                        arena.nodes.push(KNode {
-                            field: kn.field,
-                            off: new_off,
-                            len: kn.len,
-                        });
-                        stats.bytes_shared += knode_bytes + slice * 12;
-                    }
-                    (_, Some((field, nc, nt))) => {
-                        let before = arena.cuts.len();
-                        arena.push_node(field, &nc, &nt, pad_to);
-                        stats.bytes_fresh += knode_bytes + (arena.cuts.len() - before) * 12;
-                    }
-                    _ => unreachable!("fresh nodes always carry a mirror"),
-                }
-            }
-            arena
-        } else {
-            stats.lane_arena_rebuilt = true;
-            stats.bytes_fresh += nodes.len() * knode_bytes;
-            let arena = LaneArena::build(&nodes, &cuts, &cut_targets, &jump);
-            stats.bytes_fresh += arena.cuts.len() * 12;
-            arena
-        };
-
-        let level_starts = build_level_starts(&nodes);
-        let mut spliced = CompiledFdd {
-            schema: self.schema.clone(),
-            root: 0,
-            nodes,
-            cuts,
-            cut_targets,
-            jump,
-            level_starts,
-            lanes: std::sync::OnceLock::from(lanes),
-            stats: CompileStats::default(),
-            // A spliced image is a *different* function: any profile or
-            // specialization of the old image is stale by construction,
-            // so the splice starts cold (the live matcher re-arms and
-            // re-specializes in the background).
-            profiler: Default::default(),
-            spec: std::sync::RwLock::new(None),
-        };
-        spliced.stats = spliced.compute_stats();
-        debug_assert!(spliced.validate_structure().is_ok());
-        Ok((spliced, stats))
+        Ok((next, stats))
     }
 }
 
@@ -619,95 +49,23 @@ impl CompiledFdd {
 mod tests {
     use super::*;
     use fw_core::Edit;
-    use fw_model::{paper, Decision, Rule};
-
-    fn splice_after(
-        fw: &fw_model::Firewall,
-        edits: &[Edit],
-    ) -> (CompiledFdd, CompiledFdd, RecompileStats) {
-        let compiled = CompiledFdd::from_firewall(fw).unwrap();
-        let (after, impact) = ChangeImpact::of_edits(fw, edits).unwrap();
-        let fdd = Fdd::from_firewall_fast(&after).unwrap().reduced();
-        let (spliced, stats) = compiled.recompile(&fdd, &impact).unwrap();
-        let fresh = CompiledFdd::from_firewall(&after).unwrap();
-        (spliced, fresh, stats)
-    }
 
     #[test]
-    fn noop_edit_reuses_the_whole_image() {
-        let fw = paper::team_b();
-        let compiled = CompiledFdd::from_firewall(&fw).unwrap();
-        let rule = fw.rules()[0].clone();
-        let (after, impact) =
-            ChangeImpact::of_edits(&fw, &[Edit::Replace { index: 0, rule }]).unwrap();
-        assert!(impact.is_noop());
-        let fdd = Fdd::from_firewall_fast(&after).unwrap().reduced();
-        let (spliced, stats) = compiled.recompile(&fdd, &impact).unwrap();
-        assert_eq!(spliced, compiled);
-        assert_eq!(stats.nodes_shared, stats.nodes);
-        assert_eq!(stats.nodes_fresh, 0);
-        assert_eq!(stats.bytes_fresh, 0);
-    }
-
-    #[test]
-    fn decision_flip_splices_and_agrees_with_fresh_compile() {
+    fn recompile_is_a_fresh_compile_of_the_post_edit_diagram() {
         let fw = fw_synth::Synthesizer::new(11).firewall(60);
+        let old = CompiledFdd::from_firewall(&fw).unwrap();
         let flipped = fw.rules()[3].with_decision(fw.rules()[3].decision().inverted());
-        let (spliced, fresh, stats) = splice_after(
+        let (after, impact) = ChangeImpact::of_edits(
             &fw,
             &[Edit::Replace {
                 index: 3,
                 rule: flipped,
             }],
-        );
-        spliced.validate_structure().unwrap();
-        assert!(stats.nodes_shared > 0, "a local edit must reuse subtrees");
-        assert!(stats.nodes_fresh > 0, "a real edit must lower something");
-        let trace = fw_synth::PacketTrace::random(fw.schema().clone(), 2_000, 7);
-        for p in trace.packets() {
-            assert_eq!(spliced.classify(p), fresh.classify(p), "diverges at {p}");
-        }
-    }
-
-    #[test]
-    fn spliced_image_round_trips_the_wire_format() {
-        let fw = fw_synth::Synthesizer::new(29).firewall(40);
-        let rule = Rule::new(
-            fw.rules()[5].predicate().clone(),
-            fw.rules()[5].decision().inverted(),
-        );
-        let (spliced, _, _) = splice_after(&fw, &[Edit::Replace { index: 5, rule }]);
-        // The decoder's full structural re-validation (including the fresh
-        // BFS level check) is an independent oracle for the splice.
-        let reloaded = CompiledFdd::decode(fw.schema().clone(), spliced.encode()).unwrap();
-        assert_eq!(spliced, reloaded);
-    }
-
-    #[test]
-    fn wrong_schema_rejected() {
-        let compiled = CompiledFdd::from_firewall(&paper::team_a()).unwrap();
-        let other =
-            fw_model::Firewall::parse(fw_model::Schema::tcp_ip(), "* -> discard\n").unwrap();
-        let fdd = Fdd::from_firewall_fast(&other).unwrap().reduced();
-        let impact = ChangeImpact::between(&other, &other).unwrap();
-        assert!(matches!(
-            compiled.recompile(&fdd, &impact),
-            Err(ExecError::Invariant(_))
-        ));
-    }
-
-    #[test]
-    fn whole_domain_flip_rebuilds_everything_and_still_agrees() {
-        let fw = paper::team_a();
-        let edits = [Edit::Insert {
-            index: 0,
-            rule: Rule::catch_all(fw.schema(), Decision::Discard),
-        }];
-        let (spliced, fresh, stats) = splice_after(&fw, &edits);
-        assert_eq!(stats.nodes_shared, 0, "nothing survives a blanket edit");
-        let trace = fw_synth::PacketTrace::biased(&fw, 1_000, 0.3, 3);
-        for p in trace.packets() {
-            assert_eq!(spliced.classify(p), fresh.classify(p));
-        }
+        )
+        .unwrap();
+        let fdd = Fdd::from_firewall_fast(&after).unwrap().reduced();
+        let (next, stats) = old.recompile(&fdd, &impact).unwrap();
+        assert_eq!(next, CompiledFdd::compile(&fdd).unwrap());
+        assert_eq!(stats.nodes_fresh, next.node_count());
     }
 }

@@ -14,8 +14,8 @@
 //!   yields either a finished decision or an inline *slot* — a copy of
 //!   the child's descriptor whose own resolution lands two base levels
 //!   down. Terminal children are pre-resolved to tagged decisions
-//!   everywhere, and single-edge pass-through chains (which incremental
-//!   splices can leave behind) are collapsed during target resolution.
+//!   everywhere, and single-edge pass-through chains (which unreduced
+//!   diagrams can contain) are collapsed during target resolution.
 //!   A walk therefore takes at most `ceil(max_depth / 2)` iterations —
 //!   a strict shrink for any diagram of depth ≥ 2.
 //! * **Quantized jump promotion.** Search nodes get a two-level table:

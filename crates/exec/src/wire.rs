@@ -24,13 +24,14 @@
 //! Decoding re-validates the full structure ([`CompiledFdd::decode`] never
 //! yields a matcher that can loop or index out of bounds on valid packets),
 //! including a fresh BFS that checks every recorded level against the true
-//! depth, and recomputes [`crate::CompileStats`] rather than trusting the
-//! image.
+//! depth, then rebuilds the lane mirror and recomputes
+//! [`crate::CompileStats`] rather than trusting the image.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fw_model::Schema;
 
 use crate::compile::{build_level_starts, NodeDesc};
+use crate::kernel::LaneArena;
 use crate::{CompiledFdd, ExecError};
 
 const MAGIC: u32 = 0x4657_4558; // "FWEX"
@@ -148,14 +149,7 @@ impl CompiledFdd {
             cut_targets,
             jump,
             level_starts,
-            // The lane mirror is *not* rebuilt here: it fills lazily on the
-            // first lane/auto classify (`CompiledFdd::lane_arena`), which
-            // runs after the structure checks below have accepted the
-            // image — `LaneArena::build` trusts those checks. A fleet
-            // restore that only walks the scalar path never pays the
-            // mirror build. Stats size the mirror by projection, so they
-            // match an eagerly-mirrored image exactly.
-            lanes: std::sync::OnceLock::new(),
+            lanes: LaneArena::default(),
             stats: crate::CompileStats::default(),
             // Like calibration, profiling and specialization are
             // serving-box state: a decoded image starts cold.
@@ -163,6 +157,13 @@ impl CompiledFdd {
             spec: std::sync::RwLock::new(None),
         };
         compiled.validate_structure()?;
+        // Only now: `LaneArena::build` indexes the arenas without checks.
+        compiled.lanes = LaneArena::build(
+            &compiled.nodes,
+            &compiled.cuts,
+            &compiled.cut_targets,
+            &compiled.jump,
+        );
         compiled.stats = compiled.compute_stats();
         Ok(compiled)
     }
@@ -187,17 +188,18 @@ mod tests {
     }
 
     #[test]
-    fn decode_defers_the_lane_mirror_until_first_lane_use() {
+    fn decoded_lanes_and_stats_agree_with_the_compiled_image() {
         let fw = fw_synth::Synthesizer::new(9).firewall(25);
         let compiled = CompiledFdd::from_firewall(&fw).unwrap();
         let back = CompiledFdd::decode(fw.schema().clone(), compiled.encode()).unwrap();
-        assert!(back.lanes.get().is_none(), "mirror built eagerly on decode");
-        assert_eq!(back.stats(), compiled.stats(), "projected stats differ");
+        assert_eq!(back.stats(), compiled.stats(), "decoded stats differ");
+        assert_eq!(back.lanes, compiled.lanes, "decoded lane mirror differs");
         let trace = fw_synth::PacketTrace::random(fw.schema().clone(), 64, 2);
         let batch = crate::PacketBatch::from_trace(fw.schema().clone(), trace.packets()).unwrap();
-        let lanes = back.classify_lanes(&batch, 16).unwrap();
-        assert!(back.lanes.get().is_some(), "lane use must force the mirror");
-        assert_eq!(lanes, compiled.classify_lanes(&batch, 16).unwrap());
+        assert_eq!(
+            back.classify_lanes(&batch, 16).unwrap(),
+            compiled.classify_lanes(&batch, 16).unwrap()
+        );
     }
 
     #[test]

@@ -60,10 +60,12 @@
 //!
 //! EDIT REPLAY:
 //!     --edits FILE    after the trace replay, apply the file's policy edits
-//!                     one at a time, timing a full recompile
-//!                     (CompiledFdd::from_firewall) against the incremental
-//!                     splice (CompiledFdd::recompile) for each and
-//!                     verifying both agree on the whole trace; then apply
+//!                     one at a time, timing the full pipeline (impact by
+//!                     comparison, FDD rebuild, compile) against the
+//!                     maintained one (patch, diff, export, compile) for
+//!                     each and verifying a full recompile
+//!                     (CompiledFdd::from_firewall) and the maintained
+//!                     image agree on the whole trace; then apply
 //!                     the whole file again as ONE coalesced batch and
 //!                     report the sweep's plan and corridor stats. Lines
 //!                     are `insert IDX RULE`, `replace IDX RULE`,
@@ -532,7 +534,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if let Err(code) = replay_edits(&fw, &compiled, &trace, &edits) {
+        if let Err(code) = replay_edits(&fw, &trace, &edits) {
             return code;
         }
     }
@@ -592,13 +594,12 @@ fn parse_edits(schema: &Schema, text: &str) -> Result<Vec<diverse_firewall::core
 }
 
 /// Applies each edit in sequence through a persistent [`MaintainedFdd`],
-/// timing the maintained pipeline (patch + diff + export + splice)
-/// against the full one (whole-policy impact + FDD rebuild + full
-/// recompile) and verifying the spliced image agrees with a fresh compile
-/// on the whole replay trace after every edit.
+/// timing the maintained pipeline (patch + diff + export + compile)
+/// against the full one (whole-policy impact + FDD rebuild + compile) and
+/// verifying the maintained image agrees with a fresh compile of the
+/// post-edit policy on the whole replay trace after every edit.
 fn replay_edits(
     fw: &Firewall,
-    compiled: &CompiledFdd,
     trace: &PacketTrace,
     edits: &[diverse_firewall::core::Edit],
 ) -> Result<(), ExitCode> {
@@ -609,7 +610,6 @@ fn replay_edits(
     }
     let us = |d: std::time::Duration| d.as_secs_f64() * 1e6;
     let mut cur_fw = fw.clone();
-    let mut cur_img = compiled.clone();
     // One chain for the whole replay, patched edit by edit — what a
     // LiveMatcher keeps between batches.
     let mut maintained = match MaintainedFdd::new(fw.clone()) {
@@ -619,9 +619,8 @@ fn replay_edits(
             return Err(ExitCode::FAILURE);
         }
     };
-    let (mut full_out, mut inc_out) = (Vec::new(), Vec::new());
-    let (mut full_total, mut inc_total) = (0f64, 0f64);
-    let (mut e2e_full_total, mut e2e_inc_total) = (0f64, 0f64);
+    let (mut full_out, mut m_out) = (Vec::new(), Vec::new());
+    let (mut e2e_full_total, mut e2e_m_total) = (0f64, 0f64);
     for (i, e) in edits.iter().enumerate() {
         let t = Instant::now();
         let (after, impact) = match ChangeImpact::of_edits(&cur_fw, std::slice::from_ref(e)) {
@@ -684,56 +683,40 @@ fn replay_edits(
         }
 
         let t = Instant::now();
-        let (inc, stats) = match cur_img.recompile(&m_fdd, &m_impact) {
-            Ok(r) => r,
+        let m_img = match CompiledFdd::compile(&m_fdd) {
+            Ok(c) => c,
             Err(err) => {
-                eprintln!("fwclass: edit {i}: incremental recompile failed: {err}");
+                eprintln!("fwclass: edit {i}: compiling the maintained diagram failed: {err}");
                 return Err(ExitCode::FAILURE);
             }
         };
-        let inc_us = us(t.elapsed());
+        let compile_us = us(t.elapsed());
 
         full.classify_batch_into(trace.packets(), &mut full_out);
-        inc.classify_batch_into(trace.packets(), &mut inc_out);
-        if full_out != inc_out {
+        m_img.classify_batch_into(trace.packets(), &mut m_out);
+        if full_out != m_out {
             eprintln!("fwclass: BUG: edit {i}: maintained image disagrees with full recompile");
             return Err(ExitCode::FAILURE);
         }
         println!(
-            "edit {i}: full {full_us:.0} µs | incremental {inc_us:.0} µs (x{:.1}) | \
-             {}/{} nodes reused, {} B copied, {} B fresh{} | \
-             {} changed region(s), {} affected packet(s), impact {impact_us:.0} µs, \
-             fdd {fdd_us:.0} µs | \
-             maintained patch {maintain_us:.0} + diff {diff_us:.0} + export {export_us:.0} µs",
-            full_us / inc_us,
-            stats.nodes_shared,
-            stats.nodes,
-            stats.bytes_shared,
-            stats.bytes_fresh,
-            if stats.lane_arena_rebuilt {
-                ", lane mirror rebuilt"
-            } else {
-                ""
-            },
+            "edit {i}: full recompile {full_us:.0} µs | {} changed region(s), \
+             {} affected packet(s), impact {impact_us:.0} µs, fdd {fdd_us:.0} µs | \
+             maintained patch {maintain_us:.0} + diff {diff_us:.0} + export {export_us:.0} \
+             + compile {compile_us:.0} µs",
             impact.discrepancies().len(),
             // Schema-clamped: a per-region sum can exceed the packet
             // space; never report more packets than exist.
             impact.affected_packets_in(cur_fw.schema()),
         );
-        full_total += full_us;
-        inc_total += inc_us;
-        e2e_full_total += impact_us + fdd_us + inc_us;
-        e2e_inc_total += maintain_us + diff_us + export_us + inc_us;
+        e2e_full_total += impact_us + fdd_us + compile_us;
+        e2e_m_total += maintain_us + diff_us + export_us + compile_us;
         cur_fw = after;
-        cur_img = inc;
     }
     println!(
-        "edit replay: {} edit(s), full {full_total:.0} µs vs incremental {inc_total:.0} µs \
-         (x{:.1}) | edit-to-image: full pipeline {e2e_full_total:.0} µs vs maintained \
-         {e2e_inc_total:.0} µs (x{:.1}), all verified against the trace",
+        "edit replay: {} edit(s) | edit-to-image: full pipeline {e2e_full_total:.0} µs vs \
+         maintained {e2e_m_total:.0} µs (x{:.1}), all verified against the trace",
         edits.len(),
-        full_total / inc_total,
-        e2e_full_total / e2e_inc_total
+        e2e_full_total / e2e_m_total
     );
 
     // The same file applied as ONE coalesced batch to a fresh chain — the

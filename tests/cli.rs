@@ -163,3 +163,38 @@ fn fwclass_has_no_engine_flag() {
         assert_eq!(out.status.code(), Some(2), "{args:?} must be a usage error");
     }
 }
+
+#[test]
+fn fwclass_replays_an_edits_file() {
+    let dir = std::env::temp_dir().join(format!("fwclass-edits-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        fwclass()
+            .args(["--zipf", "2000", "--check", "--edits"])
+            .arg(&path)
+            .arg(repo_path("policies/dmz_v2.fw"))
+            .output()
+            .expect("binary runs")
+    };
+
+    // Each line applies to the policy the previous one left.
+    let out = run(
+        "good.edits",
+        "# open telnet, demote ssh to logged discard, drop the dns rule\n\
+         insert 0 dport=23, proto=6 -> accept\n\
+         replace 3 src=10.0.1.0/24, dport=22, proto=6 -> discard-log\n\
+         remove 4\n",
+    );
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    assert!(stdout.contains("edit replay: 3 edit(s)"), "got: {stdout}");
+    assert!(stdout.contains("maintained"), "got: {stdout}");
+
+    let out = run("bad.edits", "remove 0\nreplace 1\n");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_ne!(out.status.code(), Some(0), "a malformed line must fail");
+    assert!(stderr.contains("line 2"), "got: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -99,8 +99,8 @@ fn assert_four_way(fw: &Firewall, trace: &PacketTrace, tag: &str) {
         );
     }
     // The auto route with no stored calibration serves the default choice
-    // — same decisions, including through a decoded image whose lane
-    // mirror is built lazily on this very call.
+    // — same decisions, including through a decoded image, whose lane
+    // mirror decode rebuilt from the wire arenas.
     assert_eq!(
         compiled.classify_auto(&batch).unwrap(),
         lanes,

@@ -1,75 +1,85 @@
-//! Equivalence oracle for incremental recompilation: for any edit batch,
-//! the image produced by [`CompiledFdd::recompile`] (splicing fresh
-//! subtrees into the pre-edit image) must be indistinguishable from a
-//! fresh [`CompiledFdd::from_firewall`] of the post-edit policy — same
-//! decision on every probed packet, through the scalar matcher, the lane
-//! kernel at several widths, and a wire-format round trip of the spliced
-//! image. Probed on random policies with `fw_synth::evolve` edit batches
-//! of sizes {1, 4, 16}, on chains of splices (each spliced image the base
-//! of the next), on guaranteed no-op batches, and exhaustively on every
-//! packet of a tiny 2-field schema.
+//! Equivalence oracle for the edit publish path: after every
+//! [`LiveMatcher::apply_edits`] batch, the served image (the maintained
+//! FDD, patched along the edited corridor, exported and compiled) must be
+//! indistinguishable from a fresh [`CompiledFdd::from_firewall`] of the
+//! post-edit policy — same decision as first-match on every probed packet,
+//! through the scalar matcher, the lane kernel at several widths, and a
+//! wire-format round trip of the published image. Probed on chains of
+//! `fw_synth::evolve` edit batches of sizes {1, 4, 16} over random
+//! policies, on guaranteed no-op batches, and exhaustively on every packet
+//! of a tiny 2-field schema.
 
-use diverse_firewall::core::{ChangeImpact, Edit, Fdd};
-use diverse_firewall::exec::{CompiledFdd, PacketBatch, DEFAULT_LANE_WIDTH};
+use std::sync::Arc;
+
+use diverse_firewall::core::{ChangeImpact, Edit};
+use diverse_firewall::exec::{CompiledFdd, LiveMatcher, PacketBatch, DEFAULT_LANE_WIDTH};
 use diverse_firewall::model::{Decision, FieldDef, Firewall, Packet, Schema};
 use diverse_firewall::synth::{evolve, EvolutionProfile, PacketTrace, Synthesizer};
 use proptest::prelude::*;
 
 const BATCH_SIZES: [usize; 3] = [1, 4, 16];
 
-/// Lane widths that stress the spliced image's mirror: degenerate (1),
+/// Lane widths that stress the published image's mirror: degenerate (1),
 /// misaligned (3), the tuned default, and one chunk per batch.
 fn lane_widths(batch_len: usize) -> [usize; 4] {
     [1, 3, DEFAULT_LANE_WIDTH, batch_len.max(1)]
 }
 
-/// Applies `edits` to `fw` through the full incremental pipeline
-/// (impact → post-edit FDD → splice) and asserts the spliced image, a
-/// fresh compile, and a decode of the spliced wire image all agree with
-/// first-match semantics on every probe packet; returns the post-edit
-/// policy so callers can chain batches.
-fn assert_splice_agrees(fw: &Firewall, edits: &[Edit], packets: &[Packet], tag: &str) -> Firewall {
-    let base = CompiledFdd::from_firewall(fw).unwrap();
-    let (after, impact) = ChangeImpact::of_edits(fw, edits).unwrap();
-    let fdd = Fdd::from_firewall_fast(&after).unwrap().reduced();
-    let (spliced, stats) = base.recompile(&fdd, &impact).unwrap();
-    let fresh = CompiledFdd::from_firewall(&after).unwrap();
-    let reloaded = CompiledFdd::decode(fw.schema().clone(), spliced.encode()).unwrap();
-
+/// Applies `edits` to the served policy through `live.apply_edits` and
+/// asserts the published image, a fresh compile of the post-edit policy,
+/// and a decode of the published wire image all agree with first-match
+/// semantics on every probe packet. A no-op batch must keep the served
+/// image itself.
+fn assert_publish_agrees(live: &LiveMatcher, edits: &[Edit], packets: &[Packet], tag: &str) {
+    let before = live.load();
+    let (after, impact) = ChangeImpact::of_edits(&live.policy(), edits).unwrap();
+    let report = live.apply_edits(edits).unwrap();
+    assert_eq!(live.policy(), after, "{tag}: served policy");
     assert_eq!(
-        stats.nodes,
-        stats.nodes_shared + stats.nodes_fresh,
-        "{tag}: node accounting"
+        report.swapped,
+        !impact.is_noop(),
+        "{tag}: swap iff not no-op"
     );
+    let published = live.load();
     if impact.is_noop() {
-        assert_eq!(stats.nodes_fresh, 0, "{tag}: no-op batch must share all");
+        assert!(
+            Arc::ptr_eq(&before, &published),
+            "{tag}: no-op batch must keep the served image"
+        );
     }
+    let fresh = CompiledFdd::from_firewall(&after).unwrap();
+    let reloaded = CompiledFdd::decode(after.schema().clone(), published.encode()).unwrap();
+    assert_eq!(reloaded, *published, "{tag}: FWEX round trip");
 
     let mut expect = Vec::with_capacity(packets.len());
     for p in packets {
         let linear = after.decision_for(p).expect("comprehensive policy");
         assert_eq!(
             linear,
-            spliced.classify(p),
-            "{tag}: spliced diverges at {p}"
+            published.classify(p),
+            "{tag}: published diverges at {p}"
         );
         assert_eq!(linear, fresh.classify(p), "{tag}: fresh diverges at {p}");
         assert_eq!(
             linear,
             reloaded.classify(p),
-            "{tag}: decoded splice diverges at {p}"
+            "{tag}: decoded image diverges at {p}"
         );
         expect.push(linear);
     }
-    let batch = PacketBatch::from_trace(fw.schema().clone(), packets).unwrap();
+    let batch = PacketBatch::from_trace(after.schema().clone(), packets).unwrap();
     for width in lane_widths(batch.len()) {
         assert_eq!(
-            spliced.classify_lanes(&batch, width).unwrap(),
+            published.classify_lanes(&batch, width).unwrap(),
             expect,
-            "{tag}: spliced lane kernel diverges at width {width}"
+            "{tag}: published lane kernel diverges at width {width}"
+        );
+        assert_eq!(
+            reloaded.classify_lanes(&batch, width).unwrap(),
+            expect,
+            "{tag}: decoded lane kernel diverges at width {width}"
         );
     }
-    after
 }
 
 fn edits_for(fw: &Firewall, k: usize, seed: u64) -> Vec<Edit> {
@@ -82,9 +92,9 @@ fn edits_for(fw: &Firewall, k: usize, seed: u64) -> Vec<Edit> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Property: on random synthesized policies, the incremental image is
-    /// equivalent to a fresh compile for edit batches of every size in
-    /// [`BATCH_SIZES`], probed on random and rule-region-biased traces.
+    /// Property: on random synthesized policies, a chain of edit batches
+    /// of every size in [`BATCH_SIZES`] publishes images equivalent to a
+    /// fresh compile, probed on random and rule-region-biased traces.
     #[test]
     fn incremental_equals_fresh_on_random_policies(
         seed in 0u64..10_000,
@@ -100,16 +110,17 @@ proptest! {
             .chain(biased.packets())
             .cloned()
             .collect();
+        let live = LiveMatcher::new(fw).unwrap();
         for k in BATCH_SIZES {
-            let edits = edits_for(&fw, k, edit_seed + k as u64);
-            assert_splice_agrees(&fw, &edits, &packets, &format!("k={k}"));
+            let edits = edits_for(&live.policy(), k, edit_seed + k as u64);
+            assert_publish_agrees(&live, &edits, &packets, &format!("k={k}"));
         }
     }
 }
 
 /// A batch that replaces every rule with itself is a semantic no-op: the
-/// impact is empty, the splice shares the entire image, and the result
-/// still serves the policy exactly.
+/// impact is empty, nothing is published, and the kept image still serves
+/// the policy exactly.
 #[test]
 fn noop_batches_share_the_whole_image() {
     for seed in [5u64, 17, 99] {
@@ -123,41 +134,32 @@ fn noop_batches_share_the_whole_image() {
         let (_, impact) = ChangeImpact::of_edits(&fw, &edits).unwrap();
         assert!(impact.is_noop(), "self-replacement must be a no-op");
         let trace = PacketTrace::biased(&fw, 400, 0.3, seed);
-        assert_splice_agrees(&fw, &edits, trace.packets(), &format!("noop seed {seed}"));
+        let live = LiveMatcher::new(fw).unwrap();
+        assert_publish_agrees(&live, &edits, trace.packets(), &format!("noop seed {seed}"));
+        assert_eq!(live.epoch(), 0, "noop seed {seed}: nothing published");
     }
 }
 
-/// Splice-of-splice: images produced by `recompile` are themselves valid
-/// bases for further incremental batches — a serving loop never needs a
-/// full recompile to stay correct.
+/// A long chain of publishes: each published image serves while the next
+/// batch is applied to the policy it left, and the server never needs a
+/// rebuild from the rule list to stay correct.
 #[test]
-fn chained_splices_stay_equivalent() {
+fn chained_publishes_stay_equivalent() {
     let fw = Synthesizer::new(7).firewall(20);
-    let mut cur = fw.clone();
-    let mut img = CompiledFdd::from_firewall(&fw).unwrap();
     let trace = PacketTrace::random(fw.schema().clone(), 300, 3);
+    let live = LiveMatcher::new(fw).unwrap();
     for step in 0..6u64 {
-        let edits = edits_for(&cur, 2, 100 + step);
-        let (after, impact) = ChangeImpact::of_edits(&cur, &edits).unwrap();
-        let fdd = Fdd::from_firewall_fast(&after).unwrap().reduced();
-        let (next, _) = img.recompile(&fdd, &impact).unwrap();
-        for p in trace.packets() {
-            assert_eq!(
-                next.classify(p),
-                after.decision_for(p).unwrap(),
-                "step {step}: chained splice diverges at {p}"
-            );
-        }
-        cur = after;
-        img = next;
+        let edits = edits_for(&live.policy(), 2, 100 + step);
+        assert_publish_agrees(&live, &edits, trace.packets(), &format!("step {step}"));
     }
 }
 
 /// Exhaustive oracle: on a tiny 2-field schema (3 bits each) all 64
-/// packets are enumerable, so the spliced image is checked cell-by-cell
-/// against first-match evaluation — for evolved batches of every size in
-/// [`BATCH_SIZES`] and for a hand-rolled batch exercising every `Edit`
-/// variant (including a no-op self-replacement) in one sequence.
+/// packets are enumerable, so every published image is checked
+/// cell-by-cell against first-match evaluation — along a chain of evolved
+/// batches of every size in [`BATCH_SIZES`], and for a hand-rolled batch
+/// exercising every `Edit` variant (including a no-op self-replacement)
+/// in one sequence.
 #[test]
 fn incremental_matches_exhaustive_oracle_on_tiny_schema() {
     let schema = Schema::new(vec![
@@ -180,9 +182,10 @@ fn incremental_matches_exhaustive_oracle_on_tiny_schema() {
             format!("a={a_lo}-{a_hi}, b={b_lo}-{b_hi} -> {d1}\nb={b_lo} -> {d2}\n* -> {d3}\n");
         let fw = Firewall::parse(schema.clone(), &text).unwrap();
 
+        let live = LiveMatcher::new(fw.clone()).unwrap();
         for batch in BATCH_SIZES {
-            let edits = edits_for(&fw, batch, k * 31 + batch as u64);
-            assert_splice_agrees(&fw, &edits, &all, &format!("policy {k}, k={batch}"));
+            let edits = edits_for(&live.policy(), batch, k * 31 + batch as u64);
+            assert_publish_agrees(&live, &edits, &all, &format!("policy {k}, k={batch}"));
         }
 
         let flipped = fw.rules()[0].with_decision(fw.rules()[0].decision().inverted());
@@ -206,6 +209,7 @@ fn incremental_matches_exhaustive_oracle_on_tiny_schema() {
             },
             Edit::Remove { index: 1 },
         ];
-        assert_splice_agrees(&fw, &mixed, &all, &format!("policy {k}, mixed batch"));
+        let live = LiveMatcher::new(fw).unwrap();
+        assert_publish_agrees(&live, &mixed, &all, &format!("policy {k}, mixed batch"));
     }
 }
